@@ -109,7 +109,16 @@ def _checkpoint(state: ProcessState, constants: Constants, cuv_samples: int,
     t = constants.t(i)
     bound = constants.open_bound(i)
     open_count = state.open_count()
-    assert open_count == state.n * (state.n - 1) // 2 - i - state.closed_count()
+    # recount the classification on its own: the sampling array, the class
+    # bytes and the open-neighbour masks must agree on the open pairs
+    classed_open = state.classes.count(OPEN)
+    if classed_open != open_count:
+        raise RuntimeError(f"step {i}: {classed_open} pairs classed open but "
+                           f"{open_count} in the sampling array")
+    mask_ends = sum(m.bit_count() for m in state.open_nbr)
+    if mask_ends != 2 * open_count:
+        raise RuntimeError(f"step {i}: open-neighbour masks hold {mask_ends} "
+                           f"pair ends, expected {2 * open_count}")
     eh = constants.pattern.edge_count
     rec = CheckpointRecord(
         step=i, t=t, open_count=open_count, open_bound=bound,

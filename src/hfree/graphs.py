@@ -8,6 +8,7 @@ and logs present them 1-based.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, TextIO
 
 
@@ -115,29 +116,24 @@ def pair_index(u: int, v: int, n: int) -> int:
 
 
 def pair_from_index(pid: int, n: int) -> tuple[int, int]:
-    """Inverse of pair_index; returns (u, v) with u < v."""
-    if not 0 <= pid < pair_count(n):
+    """Inverse of pair_index; returns (u, v) with u < v.
+
+    Closed form: counted back from the last id, m = n(n-1)/2 - 1 - pid,
+    the last k rows hold the last T(k) = k(k+1)/2 ids.  So pid lies in row
+    n - 2 - k for the largest k with T(k) <= m, which is
+    k = (isqrt(8m + 1) - 1) // 2; integer isqrt makes this exact, with no
+    rounding to correct."""
+    npairs = pair_count(n)
+    if not 0 <= pid < npairs:
         raise ValueError(f"pair id {pid} out of range for n={n}")
-    u = 0
-    # row u covers ids [off(u), off(u) + n-1-u)
-    while pid >= n - 1 - u:
-        pid -= n - 1 - u
-        u += 1
-    return (u, u + 1 + pid)
+    m = npairs - 1 - pid
+    k = (math.isqrt(8 * m + 1) - 1) // 2
+    return (n - 2 - k, n - 1 - m + k * (k + 1) // 2)
 
 
 def pair_row_offsets(n: int) -> list[int]:
     """off[u] such that pair_index(u, v, n) = off[u] + v - u - 1 for u < v."""
     return [u * (2 * n - u - 1) // 2 for u in range(n)]
-
-
-def all_pairs_decoded(n: int) -> list[tuple[int, int]]:
-    """Lookup table pid -> (u, v); handy for hot loops."""
-    out = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            out.append((u, v))
-    return out
 
 
 # ── edge-list text format ───────────────────────────────────────────────

@@ -110,9 +110,9 @@ def run_trial(cfg_text: str, n: int, n_index: int, trial: int,
                 if cfg.traj_log == "checkpoints" and step_no not in marks:
                     continue
                 u, v = pair_from_index(pid, n)
-                rec = {"step": step_no, "pair": [u + 1, v + 1],
-                       "newly_closed": closed}
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                # the bytes of json.dumps(..., sort_keys=True) on this record
+                fh.write(f'{{"newly_closed": {closed}, "pair": [{u + 1}, {v + 1}], '
+                         f'"step": {step_no}}}\n')
 
     edges_path = os.path.join(out_dir, f"trial_n{n}_t{trial:03d}.edges.txt")
     with open(edges_path, "x") as fh:

@@ -427,8 +427,14 @@ class ClosureTemplate:
         self.base = base
         self.missing_pair = missing_pair
         self.anchor_roles = anchor_roles
-        # per anchor role: compiled extension plan and the plan positions of
-        # the missing pair, for the hot path in the process engine
+        # per anchor role, for the closure scan of the process engine: the
+        # placed-neighbour positions of each plan position, the plan
+        # positions of the missing pair, and how the last level finishes.
+        # When the last position is an endpoint of the missing pair, the
+        # closed pairs are its candidates masked by the open neighbours of
+        # the other endpoint, whose position is leaf_other; otherwise
+        # (leaf_other = -1) both endpoints are placed earlier and the last
+        # level only has to be non-empty.
         self._plans = []
         for role in anchor_roles:
             a, b = base.edges[role]
@@ -436,7 +442,10 @@ class ClosureTemplate:
             plan = _compile_plan(base, order)
             pos_of = {v: i for i, (v, _) in enumerate(plan)}
             mp = (pos_of[missing_pair[0]], pos_of[missing_pair[1]])
-            self._plans.append((plan, mp))
+            last = len(plan) - 1
+            leaf_other = mp[1] if mp[0] == last else mp[0] if mp[1] == last else -1
+            parents = tuple(pp for _, pp in plan)
+            self._plans.append((parents, mp, leaf_other))
 
 
 def _edge_orbits(p: Pattern, perms: list[tuple[int, ...]],

@@ -6,6 +6,15 @@ enumerating embeddings of each closure template's base anchored at that
 edge and reading off the image of the missing pair.  Uniform sampling from
 the open pairs uses a dense array with a position map (O(1) draw + delete,
 no rejection).
+
+Alongside the per-pair classes the state keeps one open-neighbour bitmask
+per vertex (bit v of ``open_nbr[u]`` is set iff uv is open).  The closure
+scan extends each compiled plan up to its last position and finishes there
+with one mask operation: when the last position is an endpoint of the
+missing pair, the pairs closed through that partial embedding are exactly
+its candidate set ANDed with the open neighbours of the other endpoint;
+otherwise the candidate set only has to be non-empty and one bit of
+``open_nbr`` says whether the missing pair is still open.
 """
 
 from __future__ import annotations
@@ -62,12 +71,15 @@ class ProcessState:
         self.graph = SimpleGraph(n)
         npairs = pair_count(n)
         self.classes = bytearray(npairs)  # all OPEN
+        full = (1 << n) - 1
+        self.open_nbr = [full ^ (1 << u) for u in range(n)]
         self.open_list = list(range(npairs))
         self.open_pos = list(range(npairs))
         self.step = 0
         self.history: list[tuple[int, int, int]] = []
         self.stopped_early = False
-        self._templates = closure_templates(pattern)
+        self._plans = [plan for tmpl in closure_templates(pattern)
+                       for plan in tmpl._plans]
         self._off = pair_row_offsets(n)
 
     # -- bookkeeping ------------------------------------------------------
@@ -92,54 +104,74 @@ class ProcessState:
     def open_pair_ids(self) -> list[int]:
         return list(self.open_list)
 
-    def _remove_open(self, pid: int) -> None:
-        i = self.open_pos[pid]
-        last = self.open_list[-1]
-        self.open_list[i] = last
-        self.open_pos[last] = i
-        self.open_list.pop()
-        self.open_pos[pid] = -1
+    def _retire(self, ends: dict[int, tuple[int, int]], cls: int) -> None:
+        """Move the open pairs ``ends`` (pair id -> endpoints) to class
+        ``cls``, in increasing id order: each is swap-removed from the
+        sampling array and cleared in both open-neighbour masks."""
+        classes, open_list, open_pos = self.classes, self.open_list, self.open_pos
+        open_nbr = self.open_nbr
+        for pid in sorted(ends):
+            u, v = ends[pid]
+            classes[pid] = cls
+            i = open_pos[pid]
+            last = open_list[-1]
+            open_list[i] = last
+            open_pos[last] = i
+            open_list.pop()
+            open_pos[pid] = -1
+            open_nbr[u] ^= 1 << v
+            open_nbr[v] ^= 1 << u
 
     # -- the step ---------------------------------------------------------
 
-    def _closure_scan(self, graph: SimpleGraph, x: int, y: int) -> set[int]:
-        """Pair ids of currently-open pairs that some template base
-        embedding anchored at the host edge (x, y) of ``graph`` would
-        close.  ``graph`` must contain the edge (x, y)."""
-        adj = graph.adj
-        classes = self.classes
+    def _closure_scan(self, x: int, y: int) -> dict[int, tuple[int, int]]:
+        """Currently-open pairs that some template base embedding anchored
+        at the edge (x, y) of the state's graph would close, as pair id ->
+        endpoints.  The graph must contain the edge (x, y)."""
+        adj = self.graph.adj
+        open_nbr = self.open_nbr
         off = self._off
-        full = (1 << graph.n) - 1
-        out: set[int] = set()
-        for tmpl in self._templates:
-            for plan, (mp0, mp1) in tmpl._plans:
-                n_pos = len(plan)
-                img = [0] * n_pos
-                for hx, hy in ((x, y), (y, x)):
-                    img[0] = hx
-                    img[1] = hy
+        out: dict[int, tuple[int, int]] = {}
+        for parents, (mp0, mp1), leaf_other in self._plans:
+            last = len(parents) - 1
+            img = [0] * (last + 1)
 
-                    def rec(i: int, used: int) -> None:
-                        if i == n_pos:
-                            a, b = img[mp0], img[mp1]
-                            if a > b:
-                                a, b = b, a
-                            pid = off[a] + b - a - 1
-                            if classes[pid] == OPEN:
-                                out.add(pid)
-                            return
-                        cand = full
-                        for pp in plan[i][1]:
-                            cand &= adj[img[pp]]
-                        cand &= ~used
-                        while cand:
-                            lsb = cand & -cand
-                            w = lsb.bit_length() - 1
-                            cand ^= lsb
-                            img[i] = w
-                            rec(i + 1, used | lsb)
+            def rec(i: int, used: int) -> None:
+                # template bases are connected, so every position past the
+                # anchor has a placed neighbour
+                ps = parents[i]
+                cand = adj[img[ps[0]]]
+                for pp in ps[1:]:
+                    cand &= adj[img[pp]]
+                cand &= ~used
+                if i < last:
+                    while cand:
+                        lsb = cand & -cand
+                        img[i] = lsb.bit_length() - 1
+                        cand ^= lsb
+                        rec(i + 1, used | lsb)
+                elif leaf_other >= 0:
+                    a = img[leaf_other]
+                    hits = cand & open_nbr[a]
+                    while hits:
+                        lsb = hits & -hits
+                        w = lsb.bit_length() - 1
+                        hits ^= lsb
+                        if a < w:
+                            out[off[a] + w - a - 1] = (a, w)
+                        else:
+                            out[off[w] + a - w - 1] = (a, w)
+                elif cand:
+                    a, b = img[mp0], img[mp1]
+                    if (open_nbr[a] >> b) & 1:
+                        if a > b:
+                            a, b = b, a
+                        out[off[a] + b - a - 1] = (a, b)
 
-                    rec(2, (1 << hx) | (1 << hy))
+            for hx, hy in ((x, y), (y, x)):
+                img[0] = hx
+                img[1] = hy
+                rec(2, (1 << hx) | (1 << hy))
         return out
 
 
@@ -155,7 +187,7 @@ def newly_closed_after(state: ProcessState, e: tuple[int, int]) -> set[int]:
     x, y = e
     if not state.graph.has_edge(x, y):
         raise ValueError(f"({x},{y}) is not an edge of the current graph")
-    return state._closure_scan(state.graph, x, y)
+    return set(state._closure_scan(x, y))
 
 
 def step(state: ProcessState) -> tuple[int, int]:
@@ -165,15 +197,12 @@ def step(state: ProcessState) -> tuple[int, int]:
         raise RuntimeError("process exhausted: no open pair remains")
     j = state.rng.randrange(len(state.open_list))
     pid = state.open_list[j]
-    state._remove_open(pid)
-    state.classes[pid] = EDGE
     u, v = pair_from_index(pid, state.n)
+    state._retire({pid: (u, v)}, EDGE)
     state.graph.add_edge(u, v)
     state.step += 1
-    newly = state._closure_scan(state.graph, u, v)
-    for q in sorted(newly):
-        state.classes[q] = CLOSED
-        state._remove_open(q)
+    newly = state._closure_scan(u, v)
+    state._retire(newly, CLOSED)
     state.history.append((state.step, pid, len(newly)))
     return (u, v)
 
@@ -225,14 +254,20 @@ def run_until(state: ProcessState, stop: StopRule,
 def compute_C_uv(state: ProcessState, uv: tuple[int, int]) -> set[int]:
     """Exact set of open pair ids xy such that adding both uv and xy would
     create a forbidden copy using both.  Computed by running the closure
-    scan on a scratch copy with uv added."""
+    scan with uv added to the state's graph for the duration of the call
+    (adjacency bits only; they are cleared again even if the scan raises)."""
     u, v = uv
     pid = state.pair_id(u, v)
     if state.classes[pid] != OPEN:
         raise ValueError(f"pair ({u},{v}) is {CLASS_NAMES[state.classes[pid]]}, not open")
-    scratch = state.graph.copy()
-    scratch.add_edge(u, v)
-    return state._closure_scan(scratch, u, v)
+    adj = state.graph.adj
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    try:
+        return set(state._closure_scan(u, v))
+    finally:
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
 
 
 @dataclass(frozen=True)

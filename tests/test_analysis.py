@@ -6,8 +6,8 @@ from hfree.analysis import (baseline_uniform_process, check_key_inequality,
                             count_copies_at_m, default_checkpoints,
                             fit_edge_exponent, monitor_trajectory)
 from hfree.patterns import parse_pattern
-from hfree.process import (EdgeSetF, Exhaustion, StepCount, compute_O_F,
-                           init_process, iter_process, run_until)
+from hfree.process import (CLOSED, EdgeSetF, Exhaustion, StepCount,
+                           compute_O_F, init_process, iter_process, run_until)
 from hfree.theory import Constants
 
 C3 = parse_pattern("C3")
@@ -47,6 +47,24 @@ def test_monitor_sampling_does_not_perturb():
     b = init_process(40, C3, 7)
     run_until(b, StepCount(20))
     assert a.history == b.history
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda st: st.classes.__setitem__(st.open_list[0], CLOSED), "classed open"),
+    (lambda st: st.open_nbr.__setitem__(0, st.open_nbr[0] ^ 2), "open-neighbour"),
+])
+def test_checkpoint_rejects_inconsistent_state(corrupt, message):
+    def corrupted(states):
+        for st in states:
+            if st.step == 5:
+                corrupt(st)
+            yield st
+
+    consts = Constants.for_run(C3, 30)
+    st = init_process(30, C3, 2)
+    monitor_trajectory(iter_process(st, StepCount(4)), consts, [4])  # consistent
+    with pytest.raises(RuntimeError, match=message):
+        monitor_trajectory(corrupted(iter_process(st, StepCount(9))), consts, [5])
 
 
 def test_default_checkpoints_reasonable():

@@ -64,14 +64,14 @@ def test_verify_cli_failure_path(capsys, monkeypatch):
 
 
 def test_verify_library_detects_corruption():
+    from hfree.graphs import pair_from_index
     from hfree.process import CLOSED, OPEN
 
     def corrupt(state, step_no):
         if step_no == 3:
             for pid, c in enumerate(state.classes):
                 if c == OPEN:
-                    state.classes[pid] = CLOSED
-                    state._remove_open(pid)
+                    state._retire({pid: pair_from_index(pid, state.n)}, CLOSED)
                     break
 
     mismatches = verify_closure(n=8, seeds=1, patterns=("C3",), mutate=corrupt)

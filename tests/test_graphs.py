@@ -1,10 +1,10 @@
 import io
 
 import pytest
+from hypothesis import given, strategies as st
 
-from hfree.graphs import (SimpleGraph, all_pairs_decoded, pair_count,
-                          pair_from_index, pair_index, read_edge_list,
-                          write_edge_list)
+from hfree.graphs import (SimpleGraph, pair_count, pair_from_index,
+                          pair_index, read_edge_list, write_edge_list)
 
 from conftest import random_graph
 
@@ -94,7 +94,44 @@ def test_pair_index_unordered_and_errors():
         pair_index(3, 3, 5)
     with pytest.raises(ValueError):
         pair_from_index(pair_count(6), 6)
-    assert all_pairs_decoded(4)[pair_index(1, 3, 4)] == (1, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 300])
+def test_pair_from_index_exhaustive(n):
+    # every id decodes to its pair in row-major order
+    row_major = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    assert [pair_from_index(pid, n) for pid in range(pair_count(n))] == row_major
+    assert pair_from_index(pair_index(1, 3, 4), 4) == (1, 3)
+    for pid in (-1, pair_count(n)):
+        with pytest.raises(ValueError):
+            pair_from_index(pid, n)
+
+
+@st.composite
+def _n_and_pair_id(draw):
+    n = draw(st.integers(min_value=2, max_value=10**5))
+    return n, draw(st.integers(min_value=0, max_value=pair_count(n) - 1))
+
+
+@given(_n_and_pair_id())
+def test_pair_from_index_inverts_pair_index(n_pid):
+    n, pid = n_pid
+    u, v = pair_from_index(pid, n)
+    assert 0 <= u < v < n
+    assert pair_index(u, v, n) == pid
+
+
+@st.composite
+def _n_and_pair(draw):
+    n = draw(st.integers(min_value=2, max_value=10**5))
+    u = draw(st.integers(min_value=0, max_value=n - 2))
+    return n, u, draw(st.integers(min_value=u + 1, max_value=n - 1))
+
+
+@given(_n_and_pair())
+def test_pair_index_inverts_pair_from_index(n_uv):
+    n, u, v = n_uv
+    assert pair_from_index(pair_index(v, u, n), n) == (u, v)
 
 
 def test_edge_list_round_trip():

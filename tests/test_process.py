@@ -1,9 +1,11 @@
+import hashlib
+import io
 import random
 from collections import Counter
 
 import pytest
 
-from hfree.graphs import pair_count, pair_from_index
+from hfree.graphs import pair_count, pair_from_index, write_edge_list
 from hfree.oracle import naive_C_uv, naive_closed_set, naive_is_maximal_free
 from hfree.patterns import contains_copy, parse_pattern
 from hfree.process import (CLOSED, EDGE, OPEN, EdgeSetF, Exhaustion, Horizon,
@@ -16,6 +18,20 @@ C5 = parse_pattern("C5")
 
 def closed_pids(state):
     return {pid for pid, c in enumerate(state.classes) if c == CLOSED}
+
+
+def force_edge(state, u, v):
+    """Add uv as an edge by hand, keeping the bookkeeping but closing
+    nothing."""
+    state._retire({state.pair_id(u, v): (u, v)}, EDGE)
+    state.graph.add_edge(u, v)
+
+
+def assert_open_masks_match_classes(state):
+    for u in range(state.n):
+        want = sum(1 << v for v in range(state.n)
+                   if v != u and state.class_of(u, v) == OPEN)
+        assert state.open_nbr[u] == want, u
 
 
 def test_init_all_open():
@@ -71,12 +87,8 @@ def test_first_step_uniformity():
 
 def test_newly_closed_path():
     st = init_process(3, C3, 0)
-    st.graph.add_edge(0, 1)
-    st.classes[st.pair_id(0, 1)] = EDGE
-    st._remove_open(st.pair_id(0, 1))
-    st.graph.add_edge(1, 2)
-    st.classes[st.pair_id(1, 2)] = EDGE
-    st._remove_open(st.pair_id(1, 2))
+    force_edge(st, 0, 1)
+    force_edge(st, 1, 2)
     assert newly_closed_after(st, (1, 2)) == {st.pair_id(0, 2)}
 
 
@@ -89,25 +101,23 @@ def test_newly_closed_first_edge_empty():
 
 def test_newly_closed_c5_path():
     st = init_process(5, C5, 0)
-    for (u, v) in [(0, 1), (1, 2), (2, 3)]:
-        pid = st.pair_id(u, v)
-        st.classes[pid] = EDGE
-        st._remove_open(pid)
-        st.graph.add_edge(u, v)
-    st.graph.add_edge(3, 4)
-    st.classes[st.pair_id(3, 4)] = EDGE
-    st._remove_open(st.pair_id(3, 4))
+    for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4)]:
+        force_edge(st, u, v)
     assert newly_closed_after(st, (3, 4)) == {st.pair_id(0, 4)}
 
 
+# K2,3 is the one pattern here with a plan whose last position is not an
+# endpoint of the missing pair, so it covers the scan's single-bit leaf
 @pytest.mark.parametrize("spec,n,seed", [("C3", 12, 0), ("C4", 12, 1),
-                                         ("C5", 10, 2), ("K4", 10, 3)])
+                                         ("C5", 10, 2), ("K4", 10, 3),
+                                         ("K2,3", 9, 4), ("Q3", 9, 5)])
 def test_incremental_classes_match_oracle(spec, n, seed):
     pattern = parse_pattern(spec)
     st = init_process(n, pattern, seed)
     while not st.is_exhausted():
         step(st)
         assert closed_pids(st) == naive_closed_set(st.graph, pattern)
+        assert_open_masks_match_classes(st)
         # partition invariant
         counts = Counter(st.classes)
         assert counts[EDGE] == st.step
@@ -149,10 +159,7 @@ def test_closure_trigger():
 
 def test_compute_C_uv_examples():
     st = init_process(4, C3, 0)
-    pid01 = st.pair_id(0, 1)
-    st.classes[pid01] = EDGE
-    st._remove_open(pid01)
-    st.graph.add_edge(0, 1)
+    force_edge(st, 0, 1)
     assert compute_C_uv(st, (0, 2)) == {st.pair_id(1, 2)}
     fresh = init_process(5, C3, 0)
     assert compute_C_uv(fresh, (0, 3)) == set()
@@ -178,13 +185,28 @@ def test_compute_C_uv_matches_oracle_and_symmetry():
                 assert pid in compute_C_uv(st, xy)
 
 
+def test_compute_C_uv_leaves_graph_unchanged(monkeypatch):
+    st = init_process(10, parse_pattern("C4"), 3)
+    run_until(st, StepCount(12))
+    adj, edges = list(st.graph.adj), st.graph.edge_count
+    for pid in st.open_pair_ids()[:5]:
+        compute_C_uv(st, pair_from_index(pid, st.n))
+        assert st.graph.adj == adj and st.graph.edge_count == edges
+
+    def boom(x, y):
+        assert st.graph.has_edge(x, y)  # uv is present while the scan runs
+        raise RuntimeError("scan failed")
+
+    monkeypatch.setattr(st, "_closure_scan", boom)
+    with pytest.raises(RuntimeError, match="scan failed"):
+        compute_C_uv(st, pair_from_index(st.open_pair_ids()[0], st.n))
+    assert st.graph.adj == adj and st.graph.edge_count == edges
+
+
 def test_compute_O_F():
     st = init_process(5, C3, 0)
     for (u, v) in [(0, 1), (2, 3)]:
-        pid = st.pair_id(u, v)
-        st.classes[pid] = EDGE
-        st._remove_open(pid)
-        st.graph.add_edge(u, v)
+        force_edge(st, u, v)
     f = EdgeSetF.from_vertex_pairs([(0, 2), (1, 3)], 5)
     want = compute_C_uv(st, (0, 2)) | compute_C_uv(st, (1, 3))
     assert compute_O_F(st, f) == want
@@ -242,3 +264,28 @@ def test_edge_set_f_constructors():
         EdgeSetF.scaled([1, 2, 3, 4], 100.0, 10, rng)
     f2 = EdgeSetF.scaled(range(8), 1.5, 10, rng)
     assert len(f2.pairs) == 12  # ceil(1.5 * 8)
+
+
+def _trajectory_digests(spec, n, seed):
+    st = init_process(n, parse_pattern(spec), seed)
+    run_until(st, Exhaustion())
+    history = "".join(f"{s} {p} {c}\n" for s, p, c in st.history)
+    edges = io.StringIO()
+    write_edge_list(st.graph, edges)
+    return (st.step, hashlib.sha256(history.encode()).hexdigest(),
+            hashlib.sha256(edges.getvalue().encode()).hexdigest())
+
+
+# Digests of the step history and final edge list, recorded with the
+# row-walk pair decode and the per-pair recursive closure scan; any change
+# to sampling, decoding or closure order shows up here.
+@pytest.mark.parametrize("spec,n,seed,want", [
+    ("C3", 60, 0, (413,
+                   "5fa00720b7c41dbb36ca7a7e8c65252db5226411cf5ba1e691d6194ad362b796",
+                   "d5064fa8c5b282a373fa0058d0140f700453655af56309ef2f19f72d4bb12331")),
+    ("C4", 40, 1, (106,
+                   "21534e4952bda5480ade6b0ce9d8163601b3a8f5bee72e6ceb214106db6b1d71",
+                   "ca5859b0b6fe1ea0593c4f62cb6cd653d55b22df7f76b72a1bac63ee8617cff1")),
+])
+def test_golden_trajectories(spec, n, seed, want):
+    assert _trajectory_digests(spec, n, seed) == want
