@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .density import bounded_density_scan, verify_density_bound  # re-export surface
 from .graphs import SimpleGraph, pair_from_index
 from .patterns import Pattern, contains_copy, count_automorphisms, enumerate_embeddings
 from .process import (EdgeSetF, Horizon, ProcessState, compute_C_uv,
@@ -22,7 +21,6 @@ from .theory import Constants, open_fraction
 
 __all__ = [
     "CheckpointRecord", "TrajectoryStats", "monitor_trajectory",
-    "bounded_density_scan", "verify_density_bound",
     "count_copies_at_m", "baseline_uniform_process",
     "check_key_inequality", "KeyInequalityRecord",
     "fit_edge_exponent", "ExponentFit",

@@ -12,9 +12,8 @@ import json
 import sys
 
 from . import __version__
-from .analysis import verify_density_bound
 from .config import parse_config
-from .density import bounded_density_scan
+from .density import bounded_density_scan, verify_density_bound
 from .graphs import read_edge_list
 from .harness import aggregate_stats, run_experiment
 from .patterns import parse_pattern

@@ -17,6 +17,13 @@ from a beam search over complete-bipartite pockets and a randomized greedy
 + swap local search; in triangle-free hosts the pockets frequently reach
 the ceiling outright, which ends that size's search immediately.
 
+In a triangle-free host any sigma-set above the non-bipartite ceiling
+floor((sigma-1)^2/4) + 1 induces a bipartite graph, and such a set has
+enough rows complete to its right side that one pass over tuples of those
+complete rows (anchored on their common neighbourhood) settles every size
+at once.  The report records, per size, which stage proved the maximum:
+the warm start, this anchor pass or branch-and-bound.
+
 Heuristic mode returns the warm start alone, flagged as a lower bound.
 """
 
@@ -49,6 +56,10 @@ class DensityReport:
     nodes_explored: int = 0
     max_edges_by_size: dict = field(default_factory=dict)
     references: Optional[dict] = None
+    # per size: which stage proved the max ("warm" | "anchor" | "bnb"), and
+    # the branch-and-bound nodes spent on it; neither goes into as_row()
+    settled_by: dict[int, str] = field(default_factory=dict)
+    nodes_by_size: dict[int, int] = field(default_factory=dict)
 
     def as_row(self) -> dict:
         return {
@@ -80,50 +91,61 @@ def bipartite_pocket_warm(g: SimpleGraph, cap: int, beam: int = 6,
                           ) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Beam search for complete-bipartite pockets K_{s,t}; returns, per
     total size sigma <= cap, the best (s*t, witness) found.  A lower bound
-    on the true max edge count at each size."""
+    on the true max edge count at each size.
+
+    The left side grows one row at a time, and the common neighbourhood
+    only shrinks down the beam, so a row that qualifies for a child (at
+    least two common neighbours) already qualified for its parent: each
+    child rescans its parent's qualifying list, not the whole two-hop
+    neighbourhood."""
     n = g.n
     adj = g.adj
     best: dict[int, tuple[int, tuple[int, ...]]] = {}
 
     def offer(left: list[int], common: int) -> None:
+        s = len(left)
+        tmax = min(common.bit_count(), cap - s)
+        for t in range(1, tmax + 1):
+            if s * t > best.get(s + t, (0, ()))[0]:
+                break
+        else:
+            return
         rs = []
         m = common
-        while m and len(rs) < cap:
+        while len(rs) < tmax:
             lsb = m & -m
             rs.append(lsb.bit_length() - 1)
             m ^= lsb
-        s = len(left)
-        for t in range(1, len(rs) + 1):
-            sig = s + t
-            if sig > cap:
-                break
-            if s * t > best.get(sig, (0, ()))[0]:
-                best[sig] = (s * t, tuple(sorted(left + rs[:t])))
+        for t in range(1, tmax + 1):
+            if s * t > best.get(s + t, (0, ()))[0]:
+                best[s + t] = (s * t, tuple(sorted(left + rs[:t])))
 
     for u in range(n):
-        frontier = [([u], adj[u])]
-        offer([u], adj[u])
+        au = adj[u]
+        offer([u], au)
+        two_hop = 0
+        for c in iter_bits(au):
+            two_hop |= adj[c]
+        # (left, common, pool): pool holds every row that may qualify
+        frontier = [([u], au, list(iter_bits(two_hop & ~(1 << u))))]
         for _ in range(min(cap - 1, 5) - 1):
             nxt = []
-            for left, common in frontier:
+            for left, common, pool in frontier:
                 if common.bit_count() < 2:
                     continue
-                cand = 0
-                for c in iter_bits(common):
-                    cand |= adj[c]
-                for v in left:
-                    cand &= ~(1 << v)
+                last = left[-1]
                 scored = []
-                for w in iter_bits(cand):
+                for w in pool:
                     c2 = (adj[w] & common).bit_count()
-                    if c2 >= 2:
+                    if c2 >= 2 and w != last:
                         scored.append((c2, w))
+                qual = [w for _, w in scored]
                 scored.sort(reverse=True)
                 for c2, w in scored[:beam]:
                     left2 = left + [w]
                     com2 = common & adj[w]
                     offer(left2, com2)
-                    nxt.append((left2, com2))
+                    nxt.append((left2, com2, qual))
             nxt.sort(key=lambda it: -(it[1].bit_count() * (len(it[0]) + 1)))
             frontier = nxt[: beam * 2]
     return best
@@ -232,20 +254,31 @@ def _bipartite_above_floors(g: SimpleGraph, floors: dict[int, int],
                             ) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Exact max over sigma-sets whose induced graph is bipartite with more
     than floors[sigma] edges, for triangle-free hosts with each floor at
-    least the non-bipartite ceiling.  One pass over vertex pairs serves all
-    sigmas.  Returns {sigma: (edges, witness)} for the sigmas where an
-    improvement over the floor exists.
+    least the non-bipartite ceiling.  Returns {sigma: (edges, witness)} for
+    the sigmas where an improvement over the floor exists.
 
     Soundness: a bipartition (L, R), |L| = s <= |R| = t, with e > floor
-    misses at most s*t - floor - 1 <= s - 2 of its s*t slots, so at least
-    two L-rows are complete to R; hence R sits inside the common
-    neighborhood of a vertex pair with codegree >= t.  Scanning all such
-    anchor pairs and, per pair, all qualifying extra-row sets (their joint
-    common-neighborhood weight must cover the required contribution, a
-    prefix-prunable condition) covers every improving configuration; given
-    the full left side, the best R is exactly the top-t common neighbors
-    by left-degree.  Every reported value is the cross-edge count of a
-    genuine vertex set, so the maxima are exact.
+    misses at most M = s*t - floor - 1 of its s*t cross slots, so at least
+    r = s - M rows of L are complete to R, and R lies in their common
+    neighbourhood.  The floor precondition makes M <= s - 2, so r >= 2.
+    Each (sigma, s, t) job therefore enumerates increasing r-tuples of
+    anchor rows, grown by nested intersection of neighbourhoods and cut as
+    soon as the common neighbourhood C has fewer than t members.  Any two
+    anchors have codegree >= t, so the next anchor always comes from the
+    partner table, built once for all jobs: for each u, the v > u with
+    codeg(u, v) >= the smallest t of any job.  For M = 0 an anchor tuple
+    with |C| >= t is a K_{s,t} outright.  Otherwise the M remaining rows are
+    picked among candidates whose common-neighbourhood weight can still
+    cover the required contribution (a prefix-prunable condition); given
+    the full left side, the best R is exactly the top-t members of C by
+    left-degree.
+
+    A job fixes r from the best value when it starts.  This stays sound as
+    best rises during the job: an improving configuration then misses
+    fewer slots, so it has at least as many complete rows, and any r of
+    them form an anchor tuple the job visits.  Every reported value is the
+    cross-edge count of a genuine vertex set, so the maxima are exact.
+    Each evaluated anchor tuple or row set takes one unit of budget.
     """
     n = g.n
     adj = g.adj
@@ -266,128 +299,166 @@ def _bipartite_above_floors(g: SimpleGraph, floors: dict[int, int],
         return wits
     min_t = min(t for _, _, t in jobs)
 
-    deg = [a.bit_count() for a in adj]
-
+    # partners[u]: bit v set iff v > u and codeg(u, v) >= min_t
+    partners = [0] * n
     for u in range(n):
         au = adj[u]
-        for v in range(u + 1, n):
-            common = au & adj[v]
-            codeg = common.bit_count()
-            if codeg < min_t:
-                continue
-            cvs = None
-            cnts = None
+        two_hop = 0
+        for c in iter_bits(au):
+            two_hop |= adj[c]
+        pmask = 0
+        for v in iter_bits(two_hop >> (u + 1)):
+            v += u + 1
+            if (au & adj[v]).bit_count() >= min_t:
+                pmask |= 1 << v
+        partners[u] = pmask
 
-            def full_prep():
-                nonlocal cvs, cnts
-                cvs = list(iter_bits(common))
-                pool_mask = 0
-                for c in cvs:
-                    pool_mask |= adj[c]
-                pool_mask &= ~(1 << u) & ~(1 << v)
-                cnts = sorted((((adj[w] & common).bit_count(), w)
-                               for w in iter_bits(pool_mask)), reverse=True)
+    deg = [a.bit_count() for a in adj]
 
-            for sigma, s, t in jobs:
-                if codeg < t or s * t <= best[sigma]:
-                    continue
-                extra = s - 2
-                if extra == 0:
-                    # complete two-row configuration: any t common
-                    # neighbors realize 2t cross edges
-                    if 2 * t > best[sigma]:
-                        rverts = []
-                        m = common
-                        while len(rverts) < t:
-                            lsb = m & -m
-                            rverts.append(lsb.bit_length() - 1)
-                            m ^= lsb
-                        best[sigma] = 2 * t
-                        wits[sigma] = tuple(sorted([u, v] + rverts))
-                    continue
-                need = best[sigma] + 1 - 2 * t   # extra rows must supply this
-                # the strongest row has |N(w) & C| >= ceil(need/extra); such
-                # rows live in the union of codeg - ceil(need/extra) + 1
-                # lowest-degree members of C, so a lean scan over that
-                # shrunk pool bounds the top row counts (rows outside it
-                # count below the threshold and are padded in)
-                x1 = max(1, min(t, -(-need // extra)))
-                members = sorted(iter_bits(common), key=lambda c: deg[c])
-                pool_mask = 0
-                for c in members[: codeg - x1 + 1]:
-                    pool_mask |= adj[c]
-                pool_mask &= ~(1 << u) & ~(1 << v)
-                tops = [0] * extra
-                m = pool_mask
-                while m:
+    def tick(sigma: int) -> None:
+        if budget is not None:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise SearchBudgetExceeded(
+                    f"node budget exhausted in bipartite scan at sigma={sigma}")
+
+    for sigma, s, t in jobs:
+        if s * t <= best[sigma]:
+            continue
+        extra = s * t - best[sigma] - 1     # M, fixed for this job
+        r = s - extra
+
+        def settle(anchors: list[int], common: int) -> bool:
+            """Best completion of one anchor tuple; True ends the job."""
+            tick(sigma)
+            if extra == 0:
+                rverts = []
+                m = common
+                while len(rverts) < t:
                     lsb = m & -m
-                    w = lsb.bit_length() - 1
+                    rverts.append(lsb.bit_length() - 1)
                     m ^= lsb
-                    c_w = (adj[w] & common).bit_count()
-                    if c_w > tops[-1]:
-                        tops[-1] = c_w
-                        tops.sort(reverse=True)
-                pad = x1 - 1
-                capped = []
-                ti = 0
-                for _ in range(extra):
-                    if ti < len(tops) and tops[ti] >= pad:
-                        capped.append(min(tops[ti], t))
-                        ti += 1
-                    else:
-                        capped.append(min(pad, t))
-                if 2 * t + sum(capped) <= best[sigma]:
-                    continue
-                if cnts is None:
-                    full_prep()
-                cap = 2 * t + sum(min(c, t) for c, _ in cnts[:extra])
-                if cap <= best[sigma]:
-                    continue
-                # enumerate the extra-row sets among candidates with enough
-                # common-neighborhood weight; given the rows, the best R is
-                # simply the top-t common neighbors scored against the full
-                # left side, so no R enumeration is needed
-                need = best[sigma] + 1 - 2 * t
-                w_min = max(1, need - (extra - 1) * t)
-                cand = [(c_w, w) for c_w, w in cnts if c_w >= w_min]
-                base_mask = (1 << u) | (1 << v)
+                best[sigma] = s * t
+                wits[sigma] = tuple(sorted(anchors + rverts))
+                return True
+            codeg = common.bit_count()
+            base = r * t
+            anchor_mask = 0
+            for a in anchors:
+                anchor_mask |= 1 << a
+            need = best[sigma] + 1 - base   # extra rows must supply this
+            # the strongest row has |N(w) & C| >= ceil(need/extra); such
+            # rows live in the union of codeg - ceil(need/extra) + 1
+            # lowest-degree members of C, so a lean scan over that
+            # shrunk pool bounds the top row counts (rows outside it
+            # count below the threshold and are padded in)
+            x1 = max(1, min(t, -(-need // extra)))
+            members = sorted(iter_bits(common), key=lambda c: deg[c])
+            pool_mask = 0
+            for c in members[: codeg - x1 + 1]:
+                pool_mask |= adj[c]
+            pool_mask &= ~anchor_mask
+            tops = [0] * extra
+            m = pool_mask
+            while m:
+                lsb = m & -m
+                w = lsb.bit_length() - 1
+                m ^= lsb
+                c_w = (adj[w] & common).bit_count()
+                if c_w > tops[-1]:
+                    tops[-1] = c_w
+                    tops.sort(reverse=True)
+            pad = x1 - 1
+            capped = []
+            ti = 0
+            for _ in range(extra):
+                if ti < len(tops) and tops[ti] >= pad:
+                    capped.append(min(tops[ti], t))
+                    ti += 1
+                else:
+                    capped.append(min(pad, t))
+            if base + sum(capped) <= best[sigma]:
+                return False
+            pool_mask = 0
+            for c in members:
+                pool_mask |= adj[c]
+            pool_mask &= ~anchor_mask
+            cnts = sorted((((adj[w] & common).bit_count(), w)
+                           for w in iter_bits(pool_mask)), reverse=True)
+            if base + sum(min(c, t) for c, _ in cnts[:extra]) <= best[sigma]:
+                return False
+            # enumerate the extra-row sets among candidates with enough
+            # common-neighborhood weight; given the rows, the best R is
+            # simply the top-t common neighbors scored against the full
+            # left side, so no R enumeration is needed
+            w_min = max(1, need - (extra - 1) * t)
+            cand = [(c_w, w) for c_w, w in cnts if c_w >= w_min]
 
-                def eval_rows(rows: list[int]) -> None:
-                    if budget is not None:
-                        budget[0] -= 1
-                        if budget[0] < 0:
-                            raise SearchBudgetExceeded(
-                                f"node budget exhausted in bipartite scan "
-                                f"at sigma={sigma}")
-                    lmask = base_mask
-                    for w in rows:
-                        lmask |= 1 << w
-                    rowset = set(rows)
-                    scores = sorted(((adj[r] & lmask).bit_count(), r)
-                                    for r in cvs if r not in rowset)
-                    if len(scores) < t:
-                        return
-                    top = scores[-t:]
-                    cross = sum(sc for sc, _ in top)
-                    if cross > best[sigma]:
-                        best[sigma] = cross
-                        wits[sigma] = tuple(sorted(
-                            [u, v] + rows + [r for _, r in top]))
+            def eval_rows(rows: list[int]) -> None:
+                tick(sigma)
+                lmask = anchor_mask
+                for w in rows:
+                    lmask |= 1 << w
+                rowset = set(rows)
+                scores = sorted(((adj[c] & lmask).bit_count(), c)
+                                for c in members if c not in rowset)
+                if len(scores) < t:
+                    return
+                top = scores[-t:]
+                cross = sum(sc for sc, _ in top)
+                if cross > best[sigma]:
+                    best[sigma] = cross
+                    wits[sigma] = tuple(sorted(
+                        anchors + rows + [c for _, c in top]))
 
-                def pick_rows(start: int, rows: list[int], have: int) -> None:
-                    if len(rows) == extra:
-                        eval_rows(rows)
-                        return
-                    slots = extra - len(rows)
-                    for i in range(start, len(cand) - slots + 1):
-                        c_w, w = cand[i]
-                        # prefix bound: this row plus best-case later rows
-                        rest = sum(min(c2, t) for c2, _ in cand[i + 1:i + slots])
-                        if have + min(c_w, t) + rest < best[sigma] + 1 - 2 * t:
-                            break  # cand sorted desc: later rows only weaker
-                        pick_rows(i + 1, rows + [w], have + min(c_w, t))
+            def pick_rows(start: int, rows: list[int], have: int) -> None:
+                if len(rows) == extra:
+                    eval_rows(rows)
+                    return
+                slots = extra - len(rows)
+                for i in range(start, len(cand) - slots + 1):
+                    c_w, w = cand[i]
+                    # prefix bound: this row plus best-case later rows
+                    rest = sum(min(c2, t) for c2, _ in cand[i + 1:i + slots])
+                    if have + min(c_w, t) + rest < best[sigma] + 1 - base:
+                        break  # cand sorted desc: later rows only weaker
+                    pick_rows(i + 1, rows + [w], have + min(c_w, t))
 
-                pick_rows(0, [], 0)
+            pick_rows(0, [], 0)
+            return s * t <= best[sigma]
+
+        def grow(anchors: list[int], common: int, nxt: int) -> bool:
+            """Extend an anchor tuple by partners above its last member;
+            True ends the job."""
+            if len(anchors) == r:
+                return settle(anchors, common)
+            if len(anchors) > 1 and nxt:
+                # keep the candidates adjacent to >= t members of C;
+                # within[j]: those missing at most j of the members seen.
+                # A single anchor's C is its whole neighbourhood, too big
+                # for this; its partners already have codegree >= min_t.
+                slack = common.bit_count() - t
+                within = [nxt] * (slack + 1)
+                down = range(slack, 0, -1)
+                for c in iter_bits(common):
+                    x = adj[c]
+                    for j in down:
+                        within[j] = (within[j] & x) | within[j - 1]
+                    within[0] &= x
+                nxt = within[slack]
+            while nxt:
+                lsb = nxt & -nxt
+                v = lsb.bit_length() - 1
+                nxt ^= lsb
+                com2 = common & adj[v]
+                if com2.bit_count() >= t and grow(
+                        anchors + [v], com2, nxt & partners[v]):
+                    return True
+            return False
+
+        for u in range(n):
+            if deg[u] >= t and grow([u], adj[u], partners[u]):
+                break
     return {sigma: (best[sigma], wits[sigma]) for sigma in wits}
 
 
@@ -478,6 +549,16 @@ def _max_edges_connected(g: SimpleGraph, sigma: int, warm_e: int,
     return best, best_wit, nodes
 
 
+def _check_witness(g: SimpleGraph, density: Fraction,
+                   witness: tuple[int, ...]) -> None:
+    """Raise unless the witness induces exactly density * |witness| edges."""
+    got = g.induced_edge_count(witness)
+    if got != density * len(witness):
+        raise RuntimeError(
+            f"density witness {witness} induces {got} edges, not "
+            f"{density} * {len(witness)}")
+
+
 def exact_bounded_scan(g: SimpleGraph, k: int,
                        node_budget: Optional[int] = None,
                        warm_seed: int = 0,
@@ -499,6 +580,8 @@ def exact_bounded_scan(g: SimpleGraph, k: int,
 
     econn = {1: 0}
     wits = {1: warm.get(1, (0, (0,)))[1]}
+    settled_by = {1: "warm"}
+    nodes_by_size = {1: 0}
     ub_small = [0, 0]  # UB(r): sound upper bound on edges among any r vertices
     total_nodes = 0
     bip_results: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -513,20 +596,25 @@ def exact_bounded_scan(g: SimpleGraph, k: int,
         we, ww = warm.get(sigma, (0, ()))
         nb = _nonbipartite_ceiling(sigma)
         e, wit = we, ww
-        settled = False
+        nodes = 0
+        settled = None
         if tri_free and sigma >= 5:
             if sigma in bip_results:
                 e, wit = bip_results[sigma]
-                settled = True          # improvements above nb are bipartite-only
+                settled = "anchor"      # improvements above nb are bipartite-only
             elif we > nb:
-                settled = True          # warm witness already proven maximal
-        if not settled:
+                settled = "warm"        # warm witness already proven maximal
+        if settled is None:
             caps = [ceiling(sigma), ub_small[sigma - 1] + sigma - 1]
             if tri_free and sigma >= 5:
                 caps.append(nb)  # bipartite range already ruled out above
             e, wit, nodes = _max_edges_connected(
                 g, sigma, we, ww, ub_small, min(caps), rank, budget)
             total_nodes += nodes
+            # no node at all: the warm start already reached the cap
+            settled = "bnb" if nodes else "warm"
+        settled_by[sigma] = settled
+        nodes_by_size[sigma] = nodes
         econn[sigma] = e
         wits[sigma] = wit
         ub = max(e, max((ub_small[j] + ub_small[sigma - j]
@@ -544,8 +632,9 @@ def exact_bounded_scan(g: SimpleGraph, k: int,
         size_cap=k, density=best, witness=best_wit,
         method="exact-branch-and-bound", optimal=True,
         nodes_explored=total_nodes,
-        max_edges_by_size={s: econn[s] for s in sorted(econn)})
-    assert g.induced_edge_count(best_wit) == best * len(best_wit)
+        max_edges_by_size={s: econn[s] for s in sorted(econn)},
+        settled_by=settled_by, nodes_by_size=nodes_by_size)
+    _check_witness(g, best, best_wit)
     return report
 
 
@@ -563,7 +652,7 @@ def bounded_density_scan(g: SimpleGraph, k: int, mode: str = "exact",
         dens, wit = local_search_density(g, min(k, g.n), seed=seed)
         report = DensityReport(size_cap=k, density=dens, witness=wit,
                                method="local-search-heuristic", optimal=False)
-        assert g.induced_edge_count(wit) == dens * len(wit)
+        _check_witness(g, dens, wit)
     else:
         raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'heuristic')")
     if constants is not None:

@@ -1,9 +1,13 @@
+import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from hfree.density import (SearchBudgetExceeded, bounded_density_scan,
+from hfree.density import (SearchBudgetExceeded, _bipartite_above_floors,
+                           _nonbipartite_ceiling, bipartite_pocket_warm,
+                           bounded_density_scan,
                            exact_bounded_scan, is_triangle_free,
                            local_search_density, verify_density_bound)
 from hfree.graphs import SimpleGraph
@@ -45,7 +49,6 @@ def test_triangle_free_detection():
 
 @pytest.mark.parametrize("seed", range(25))
 def test_exact_scan_matches_brute_force(seed):
-    import random
     rng = random.Random(seed)
     n = rng.randint(4, 11)
     if seed % 3 == 0:
@@ -135,3 +138,151 @@ def test_report_row_shape():
     row = rep.as_row()
     assert row["density"] == "3/2" and row["optimal"] == 1
     assert row["witness"] == "1 2 3 4"  # 1-based in output
+
+
+def _induces_bipartite(g, sub):
+    colour = {}
+    for root in sub:
+        if root in colour:
+            continue
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in sub:
+                if g.has_edge(x, y):
+                    if y not in colour:
+                        colour[y] = 1 - colour[x]
+                        stack.append(y)
+                    elif colour[y] == colour[x]:
+                        return False
+    return True
+
+
+def _brute_bipartite_max(g, sigma):
+    return max((g.induced_edge_count(sub)
+                for sub in itertools.combinations(range(g.n), sigma)
+                if _induces_bipartite(g, sub)), default=0)
+
+
+def test_bipartite_anchor_scan_matches_brute_force():
+    """Every floor from the non-bipartite ceiling up to the true max - 1,
+    on sparse random triangle-free hosts and dense random bipartite ones,
+    so that the missing-slot count M of the live splits runs over
+    0 .. s - 2 for every left size s up to 5."""
+    seen = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        if seed % 2:
+            n = rng.randint(8, 12)
+            g = random_triangle_free(n, rng.randint(3 * n, 6 * n), seed)
+        else:
+            n = rng.randint(10, 12)
+            g = SimpleGraph(n)
+            p = rng.choice([0.7, 0.8, 0.9, 0.95])
+            for u in range(n // 2):
+                for v in range(n // 2, n):
+                    if rng.random() < p:
+                        g.add_edge(u, v)
+        assert is_triangle_free(g)
+        lowest = {}
+        for sigma in range(5, n + 1):
+            top = _brute_bipartite_max(g, sigma)
+            nb = _nonbipartite_ceiling(sigma)
+            if top > nb:
+                lowest[sigma] = top
+            for floor in range(nb, top):
+                for s in range(2, sigma // 2 + 1):
+                    if s * (sigma - s) > floor:
+                        seen.add((s, s * (sigma - s) - floor - 1))
+                got = _bipartite_above_floors(g, {sigma: floor})
+                assert set(got) == {sigma}, (seed, sigma, floor)
+                e, wit = got[sigma]
+                assert e == top, (seed, sigma, floor)
+                assert len(set(wit)) == sigma and all(0 <= v < n for v in wit)
+                assert g.induced_edge_count(wit) == top
+        # all sizes at once, each at its ceiling: one shared partner table
+        got = _bipartite_above_floors(
+            g, {sigma: _nonbipartite_ceiling(sigma) for sigma in range(5, n + 1)})
+        assert {sigma: e for sigma, (e, _) in got.items()} == lowest, seed
+    assert all((s, m) in seen for s in range(2, 6) for m in range(s - 1)), sorted(seen)
+
+
+def test_bipartite_anchor_scan_guards():
+    g = parse_pattern("K2,3").to_graph()
+    # (2, 4) at floor 5 misses up to 2 slots: fewer than two complete rows
+    with pytest.raises(SearchBudgetExceeded, match="precondition"):
+        _bipartite_above_floors(g, {6: 5})
+    # the one anchor pair of K2,3 takes the one unit of budget
+    assert _bipartite_above_floors(g, {5: 5}, [1]) == {5: (6, (0, 1, 2, 3, 4))}
+    with pytest.raises(SearchBudgetExceeded, match="budget"):
+        _bipartite_above_floors(g, {5: 5}, [0])
+
+
+def test_witness_check_raises(monkeypatch):
+    g = random_graph(9, 0.5, 4)
+    monkeypatch.setattr(SimpleGraph, "induced_edge_count",
+                        lambda self, vertices: -1)
+    with pytest.raises(RuntimeError, match="witness"):
+        exact_bounded_scan(g, 6)
+    with pytest.raises(RuntimeError, match="witness"):
+        bounded_density_scan(g, 6, mode="heuristic")
+
+
+ROW_KEYS = {"size_cap", "density", "density_float", "witness", "method",
+            "optimal", "nodes"}
+
+
+def test_settle_path_on_maximal_triangle_free_host():
+    st = init_process(60, parse_pattern("C3"), 0)
+    run_until(st, Exhaustion())
+    rep = exact_bounded_scan(st.graph, 10)
+    sizes = list(range(1, 11))
+    assert list(rep.settled_by) == sizes == list(rep.nodes_by_size)
+    # every size is proven without a single branch-and-bound node
+    assert set(rep.settled_by.values()) <= {"warm", "anchor"}
+    assert rep.nodes_by_size == dict.fromkeys(sizes, 0)
+    assert rep.nodes_explored == 0
+    assert set(rep.as_row()) == ROW_KEYS
+
+
+def test_settle_path_on_c4_free_host():
+    st = init_process(30, parse_pattern("C4"), 0)
+    run_until(st, Exhaustion())
+    assert not is_triangle_free(st.graph)
+    rep = exact_bounded_scan(st.graph, 6)
+    assert "anchor" not in rep.settled_by.values()
+    assert sum(rep.nodes_by_size.values()) == rep.nodes_explored > 0
+    for size, path in rep.settled_by.items():
+        assert (path == "bnb") == (rep.nodes_by_size[size] > 0), size
+    assert rep.settled_by[6] == "bnb"
+    assert set(rep.as_row()) == ROW_KEYS
+
+
+def test_settle_paths_all_three():
+    g = random_triangle_free(29, 77, 29)
+    rep = exact_bounded_scan(g, 10)
+    assert rep.settled_by[7] == "anchor" and rep.nodes_by_size[7] == 0
+    assert {rep.settled_by[s] for s in (8, 9, 10)} == {"bnb"}
+    assert sum(rep.nodes_by_size.values()) == rep.nodes_explored
+
+
+# Digests of the pocket warm start's full result, recorded with the beam
+# search that rebuilt each frontier entry's candidates from its common
+# neighbourhood; the warm values and witnesses must not move.
+@pytest.mark.parametrize("host,cap,want", [
+    ("c3-process", 10, "a0c13d221e78bfcbf5cddc4e177a47c2e6db5b140ba0354338ca00f25ea492e5"),
+    ("triangle-free", 10, "d10d9f1a297be348341551250d7827144c9c2d7084ffa6f991a252f3815e2ad3"),
+    ("random", 8, "204b4d49394ea84cdec1f51d3927edef2dd63212bc2adddd6990a6e0e79c21ad"),
+])
+def test_golden_pocket_warm(host, cap, want):
+    if host == "c3-process":
+        st = init_process(120, parse_pattern("C3"), 0)
+        run_until(st, Exhaustion())
+        g = st.graph
+    elif host == "triangle-free":
+        g = random_triangle_free(40, 300, 5)
+    else:
+        g = random_graph(30, 0.3, 2)
+    got = sorted(bipartite_pocket_warm(g, cap).items())
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == want
