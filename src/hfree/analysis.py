@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import SimpleGraph, pair_from_index
-from .patterns import Pattern, contains_copy, count_automorphisms, enumerate_embeddings
+from .patterns import Pattern, contains_copy, count_automorphisms, count_embeddings
 from .process import (EdgeSetF, Horizon, ProcessState, compute_C_uv,
                       init_process, iter_process, OPEN, EDGE, CLOSED)
 from .theory import Constants, open_fraction
@@ -203,8 +203,7 @@ def count_copies_at_m(pattern: Pattern, target: Pattern, n: int, mu,
             present = contains_copy(target, state.graph)
             count = None
         else:
-            labeled = sum(1 for _ in enumerate_embeddings(target, state.graph))
-            count = labeled // count_automorphisms(target)
+            count = count_embeddings(target, state.graph) // count_automorphisms(target)
             present = count > 0
         result.trials.append(CopyCountTrial(seed=base_seed + trial,
                                             steps_run=state.step,

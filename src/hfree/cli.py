@@ -151,7 +151,7 @@ def cmd_density(args) -> int:
     if args.threshold is not None:
         check = verify_density_bound(g, constants,
                                        override=(args.threshold, args.k),
-                                       node_budget=budget)
+                                       node_budget=budget, scan=report)
         print(json.dumps(check.as_dict(), sort_keys=True))
         return EXIT_OK if check.passed else EXIT_VERIFY_FAILED
     return EXIT_OK

@@ -694,13 +694,17 @@ class DensityBoundReport:
 def verify_density_bound(g: SimpleGraph, constants,
                            override: Optional[tuple[float, int]] = None,
                            node_budget: Optional[int] = None,
+                           scan: Optional[DensityReport] = None,
                            ) -> DensityBoundReport:
     """Check e(A) < c|A| for all A up to the size limit.
 
     Without an override this uses the constants' own derived pair
     (c, floor(n^d)); at desk scale that size limit degenerates to 1 and the
     check is vacuously true (flagged).  With override=(c', k') the check is
-    an actual bounded scan against the user threshold.
+    an actual bounded scan against the user threshold.  ``scan`` is a
+    report already computed for ``g`` with the same budget; it is used when
+    its size cap and mode are the ones the check would scan with (exact up
+    to cap 12, heuristic above), and otherwise the check scans again.
     """
     if override is None:
         c = constants.c
@@ -717,9 +721,10 @@ def verify_density_bound(g: SimpleGraph, constants,
         c, k = override
         mode = "empirical"
         limit = k
-    scan_mode = "exact" if k <= EXACT_CAP_LIMIT else "heuristic"
-    scan = bounded_density_scan(g, k, mode=scan_mode,
-                                node_budget=node_budget, constants=constants)
+    exact = k <= EXACT_CAP_LIMIT
+    if scan is None or scan.size_cap != k or scan.optimal != exact:
+        scan = bounded_density_scan(g, k, mode="exact" if exact else "heuristic",
+                                    node_budget=node_budget, constants=constants)
     passed = float(scan.density) < c
     detail = (f"max density {scan.density} vs threshold {c}"
               + ("" if scan.optimal else " (heuristic lower bound only)"))

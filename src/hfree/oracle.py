@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graphs import SimpleGraph, pair_index
 from .patterns import Pattern
@@ -35,132 +35,42 @@ def _check_host(g: SimpleGraph) -> None:
         raise ValueError(f"oracle host limit is {HOST_LIMIT} vertices, got {g.n}")
 
 
-def _has_copy_through_pair(p: Pattern, adj: list[set[int]], n: int,
-                           u: int, v: int) -> bool:
-    """Does the host (given by adjacency sets) contain a copy of ``p`` that
-    uses the host edge {u,v}?  Tries every ordered pattern edge as the
-    preimage of (u, v) and extends the remaining pattern vertices in index
-    order, checking all pattern edges among assigned vertices."""
-    k = p.n
-    pedges = p.edges
-    rest_order = list(range(k))
-
-    def extend(img: dict[int, int], used: set[int]) -> bool:
-        if len(img) == k:
-            return True
-        pv = next(w for w in rest_order if w not in img)
-        for hv in range(n):
-            if hv in used:
-                continue
-            ok = True
-            for (a, b) in pedges:
-                if a == pv and b in img and img[b] not in adj[hv]:
-                    ok = False
-                    break
-                if b == pv and a in img and img[a] not in adj[hv]:
-                    ok = False
-                    break
-            if ok:
-                img[pv] = hv
-                used.add(hv)
-                if extend(img, used):
-                    return True
-                used.remove(hv)
-                del img[pv]
-        return False
-
-    for (a, b) in pedges:
-        for (ha, hb) in ((u, v), (v, u)):
-            img = {a: ha, b: hb}
-            if extend(img, {ha, hb}):
-                return True
-    return False
+def _extensions(p: Pattern, adj: list[set[int]],
+                img: dict[int, int]) -> Iterator[dict[int, int]]:
+    """Yield every completion of the injective partial map ``img`` (pattern
+    vertex -> host vertex) to a copy of ``p``: the unassigned pattern
+    vertices are placed in index order, each on every unused host vertex
+    adjacent to the images of its assigned pattern neighbours.  ``img`` is
+    filled in place and each yielded map is valid until the generator
+    resumes."""
+    pv = next((w for w in range(p.n) if w not in img), None)
+    if pv is None:
+        yield img
+        return
+    nbr_imgs = [img[b] if a == pv else img[a] for a, b in p.edges
+                if (a == pv and b in img) or (b == pv and a in img)]
+    used = set(img.values())
+    for hv in (adj[nbr_imgs[0]] if nbr_imgs else range(len(adj))):
+        if hv in used or any(x not in adj[hv] for x in nbr_imgs):
+            continue
+        img[pv] = hv
+        yield from _extensions(p, adj, img)
+        del img[pv]
 
 
-def _copy_through_pair_using(p: Pattern, adj: list[set[int]], n: int,
-                             u: int, v: int, x: int, y: int) -> bool:
-    """Like _has_copy_through_pair but the copy must use both host edges
-    {u,v} and {x,y}."""
-    k = p.n
-    pedges = p.edges
-
-    def uses_xy(img: dict[int, int]) -> bool:
-        for (a, b) in pedges:
-            if {img[a], img[b]} == {x, y}:
-                return True
-        return False
-
-    def extend(img: dict[int, int], used: set[int]) -> bool:
-        if len(img) == k:
-            return uses_xy(img)
-        pv = next(w for w in range(k) if w not in img)
-        for hv in range(n):
-            if hv in used:
-                continue
-            ok = True
-            for (a, b) in pedges:
-                if a == pv and b in img and img[b] not in adj[hv]:
-                    ok = False
-                    break
-                if b == pv and a in img and img[a] not in adj[hv]:
-                    ok = False
-                    break
-            if ok:
-                img[pv] = hv
-                used.add(hv)
-                if extend(img, used):
-                    return True
-                used.remove(hv)
-                del img[pv]
-        return False
-
-    for (a, b) in pedges:
-        for (ha, hb) in ((u, v), (v, u)):
-            img = {a: ha, b: hb}
-            if extend(img, {ha, hb}):
-                return True
-    return False
+def _copies_through(p: Pattern, adj: list[set[int]],
+                    u: int, v: int) -> Iterator[dict[int, int]]:
+    """Every copy of ``p`` that uses the host edge {u,v}: each ordered
+    pattern edge in turn is the preimage of (u, v)."""
+    for a, b in p.edges:
+        for ha, hb in ((u, v), (v, u)):
+            yield from _extensions(p, adj, {a: ha, b: hb})
 
 
 def naive_contains(p: Pattern, g: SimpleGraph) -> bool:
     """Definitional containment check (any copy, not anchored)."""
     _check_host(g)
-    adj = _adj_sets(g)
-    if p.edge_count == 0:
-        return p.n <= g.n
-    u0, v0 = p.edges[0]
-    for hu in range(g.n):
-        for hv in adj[hu]:
-            img = {u0: hu, v0: hv}
-            if _extend_plain(p, adj, g.n, img, {hu, hv}):
-                return True
-    return False
-
-
-def _extend_plain(p: Pattern, adj: list[set[int]], n: int,
-                  img: dict[int, int], used: set[int]) -> bool:
-    if len(img) == p.n:
-        return True
-    pv = next(w for w in range(p.n) if w not in img)
-    for hv in range(n):
-        if hv in used:
-            continue
-        ok = True
-        for (a, b) in p.edges:
-            if a == pv and b in img and img[b] not in adj[hv]:
-                ok = False
-                break
-            if b == pv and a in img and img[a] not in adj[hv]:
-                ok = False
-                break
-        if ok:
-            img[pv] = hv
-            used.add(hv)
-            if _extend_plain(p, adj, n, img, used):
-                return True
-            used.remove(hv)
-            del img[pv]
-    return False
+    return next(_extensions(p, _adj_sets(g), {}), None) is not None
 
 
 def naive_closed_set(g: SimpleGraph, p: Pattern) -> set[int]:
@@ -175,7 +85,7 @@ def naive_closed_set(g: SimpleGraph, p: Pattern) -> set[int]:
             scratch = g.copy()
             scratch.add_edge(u, v)
             adj = _adj_sets(scratch)
-            if _has_copy_through_pair(p, adj, scratch.n, u, v):
+            if next(_copies_through(p, adj, u, v), None) is not None:
                 closed.add(pair_index(u, v, g.n))
     return closed
 
@@ -201,7 +111,9 @@ def naive_C_uv(g: SimpleGraph, p: Pattern, uv: tuple[int, int]) -> set[int]:
             scratch.add_edge(u, v)
             scratch.add_edge(x, y)
             adj = _adj_sets(scratch)
-            if _copy_through_pair_using(p, adj, scratch.n, u, v, x, y):
+            if any({img[a], img[b]} == {x, y}
+                   for img in _copies_through(p, adj, u, v)
+                   for a, b in p.edges):
                 out.add(pair_index(x, y, g.n))
     return out
 
@@ -226,19 +138,18 @@ def naive_max_density(g: SimpleGraph, size_cap: Optional[int] = None,
     singletons (the maximum ratio is always attained on a connected set).
     """
     n = g.n
+    if n == 0:
+        raise ValueError("max density is undefined on a host with no vertices")
     if size_cap is None:
         if n > SUBSET_SCAN_LIMIT:
             raise ValueError(f"full subset scan limited to {SUBSET_SCAN_LIMIT} vertices")
         best = Fraction(0)
-        best_wit: Optional[tuple[int, ...]] = None
+        best_wit = (0,)     # the first subset scanned; density 0
         for size in range(1, n + 1):
             for sub in combinations(range(n), size):
                 dens = Fraction(g.induced_edge_count(sub), size)
-                if best_wit is None or dens > best:
+                if dens > best or (dens == best and sub < best_wit):
                     best, best_wit = dens, sub
-                elif dens == best and sub < best_wit:
-                    best_wit = sub
-        assert best_wit is not None
         return best, best_wit
     if size_cap < 1:
         raise ValueError("size_cap must be >= 1")
@@ -279,36 +190,7 @@ def naive_count_copies(p: Pattern, g: SimpleGraph) -> int:
     _check_host(g)
     if p.n > COPY_PATTERN_LIMIT:
         raise ValueError(f"copy counting limited to patterns on {COPY_PATTERN_LIMIT} vertices")
-    if p.n > g.n:
-        return 0
-    adj = _adj_sets(g)
-    labeled = 0
-
-    def extend(img: dict[int, int], used: set[int]) -> None:
-        nonlocal labeled
-        if len(img) == p.n:
-            labeled += 1
-            return
-        pv = len(img)  # fixed index order
-        for hv in range(g.n):
-            if hv in used:
-                continue
-            ok = True
-            for (a, b) in p.edges:
-                if a == pv and b in img and img[b] not in adj[hv]:
-                    ok = False
-                    break
-                if b == pv and a in img and img[a] not in adj[hv]:
-                    ok = False
-                    break
-            if ok:
-                img[pv] = hv
-                used.add(hv)
-                extend(img, used)
-                used.remove(hv)
-                del img[pv]
-
-    extend({}, set())
+    labeled = sum(1 for _ in _extensions(p, _adj_sets(g), {}))
     aut = 0
     padj = [set() for _ in range(p.n)]
     for a, b in p.edges:
@@ -318,5 +200,8 @@ def naive_count_copies(p: Pattern, g: SimpleGraph) -> int:
         if all((perm[b] in padj[perm[a]]) == (b in padj[a])
                for a in range(p.n) for b in range(a + 1, p.n)):
             aut += 1
-    assert labeled % aut == 0
+    if labeled % aut:
+        raise RuntimeError(
+            f"{labeled} labeled copies of {p.name} is not a multiple of "
+            f"aut = {aut}")
     return labeled // aut

@@ -18,7 +18,6 @@ from .graphs import SimpleGraph, iter_bits
 
 AUT_VERTEX_LIMIT = 16          # exact automorphism counting regime
 BALANCE_VERTEX_LIMIT = 12      # subgraph enumeration regime
-DENSITY_VERTEX_LIMIT = 24      # full subset-scan regime
 AUT_LIST_LIMIT = 500_000       # max automorphisms we are willing to list
 
 
@@ -237,71 +236,6 @@ def is_strictly_two_balanced(p: Pattern) -> bool:
     return True
 
 
-def max_density(g, size_cap: Optional[int] = None,
-                ) -> tuple[Fraction, tuple[int, ...]]:
-    """Maximum of e(A)/|A| over nonempty vertex subsets A, with witness.
-
-    Without a cap this is an exact full subset scan (hosts up to 24
-    vertices).  With a cap the scan runs exactly over subsets of size <=
-    size_cap when the enumeration is small enough, and otherwise falls back
-    to the local-search heuristic (a lower bound) from the density module.
-    Ties go to the lexicographically smallest sorted witness.
-    """
-    if isinstance(g, Pattern):
-        g = g.to_graph()
-    n = g.n
-    if size_cap is None:
-        if n > DENSITY_VERTEX_LIMIT:
-            raise ValueError(f"exact subset scan limited to {DENSITY_VERTEX_LIMIT} vertices")
-        best = Fraction(0)
-        best_wit: Optional[tuple[int, ...]] = None
-        adj = g.adj
-        for mask in range(1, 1 << n):
-            size = mask.bit_count()
-            e = 0
-            m = mask
-            while m:
-                lsb = m & -m
-                e += (adj[lsb.bit_length() - 1] & mask).bit_count()
-                m ^= lsb
-            dens = Fraction(e // 2, size)
-            if dens > best or best_wit is None:
-                best = dens
-                best_wit = tuple(iter_bits(mask))
-            elif dens == best:
-                wit = tuple(iter_bits(mask))
-                if wit < best_wit:
-                    best_wit = wit
-        assert best_wit is not None
-        return best, best_wit
-    if size_cap < 1:
-        raise ValueError("size_cap must be >= 1")
-    cap = min(size_cap, n)
-    total = 0
-    feasible = True
-    binom = 1
-    for j in range(1, cap + 1):
-        binom = binom * (n - j + 1) // j
-        total += binom
-        if total > 2_000_000:
-            feasible = False
-            break
-    if feasible:
-        best = Fraction(0)
-        best_wit = None
-        for size in range(1, cap + 1):
-            for sub in combinations(range(n), size):
-                dens = Fraction(g.induced_edge_count(sub), size)
-                if dens > best or best_wit is None:
-                    best, best_wit = dens, sub
-                elif dens == best and sub < best_wit:
-                    best_wit = sub
-        assert best_wit is not None
-        return best, best_wit
-    from .density import local_search_density
-    return local_search_density(g, cap)
-
-
 # ── embedding enumeration ────────────────────────────────────────────────
 
 def _extension_order(p: Pattern, start: Sequence[int]) -> list[int]:
@@ -324,42 +258,82 @@ def _extension_order(p: Pattern, start: Sequence[int]) -> list[int]:
     return placed
 
 
-def _compile_plan(p: Pattern, order: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
-    """For each position past the anchor prefix, the pattern vertex placed
-    there and the order-positions of its already-placed neighbors."""
+def _compile_plan(p: Pattern, order: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """For each position of ``order``, the positions of the pattern
+    vertex's neighbours that are placed before it."""
     pos_of = {v: i for i, v in enumerate(order)}
-    plan = []
-    for i, v in enumerate(order):
-        parents = tuple(pos_of[w] for w in iter_bits(p.adj[v]) if pos_of[w] < i)
-        plan.append((v, parents))
-    return plan
+    return tuple(tuple(pos_of[w] for w in iter_bits(p.adj[v]) if pos_of[w] < i)
+                 for i, v in enumerate(order))
 
 
-def _run_plan(plan, g: SimpleGraph, img: list[int], used: int,
-              start_pos: int) -> Iterator[tuple[int, ...]]:
-    """Backtracking over the compiled plan; ``img`` is indexed by plan
-    position, already filled for positions < start_pos."""
-    n_pos = len(plan)
-    adj = g.adj
-    full = (1 << g.n) - 1
-
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == n_pos:
-            yield tuple(img)
-            return
-        _, parents = plan[i]
-        if parents:
-            cand = full
-            for pp in parents:
+def _run_plan(parents: Sequence[tuple[int, ...]], adj: list[int],
+              img: list[int], used: int, start: int) -> Iterator[int]:
+    """The plan executor.  ``img[i]`` is the host image of plan position i,
+    already filled below ``start``, and ``used`` holds their bits.  Every
+    position but the last is filled by iterative backtracking, each with an
+    unused host vertex adjacent to the images of its ``parents`` (any unused
+    vertex when it has none).  Per partial embedding the generator yields
+    the last position's candidate mask; ``img`` stays valid below the last
+    position until the generator resumes.  When ``start`` already covers
+    every position, the one candidate is the last position's own image."""
+    last = len(parents) - 1
+    if start > last:
+        yield 1 << img[last]
+        return
+    rest = [0] * last               # untried candidates per filled position
+    i = start
+    while True:
+        ps = parents[i]
+        if ps:
+            cand = adj[img[ps[0]]]
+            for pp in ps[1:]:
                 cand &= adj[img[pp]]
             cand &= ~used
         else:
-            cand = full & ~used
-        for w in iter_bits(cand):
-            img[i] = w
-            yield from rec(i + 1, used | (1 << w))
+            cand = ((1 << len(adj)) - 1) & ~used
+        if i == last:
+            yield cand
+            cand = 0
+        while not cand:             # back up to an untried candidate
+            i -= 1
+            if i < start:
+                return
+            used ^= 1 << img[i]
+            cand = rest[i]
+        lsb = cand & -cand
+        rest[i] = cand ^ lsb
+        img[i] = lsb.bit_length() - 1
+        used |= lsb
+        i += 1
 
-    yield from rec(start_pos, used)
+
+def _last_masks(p: Pattern, g: SimpleGraph,
+                anchor: Optional[tuple[int, tuple[int, int]]] = None,
+                ) -> Iterator[tuple[list[int], list[int], int]]:
+    """Run ``p``'s compiled plan over ``g``, yielding ``(order, img, cand)``
+    per partial embedding: ``img[i]`` is the host image of pattern vertex
+    ``order[i]`` for every position but the last, whose candidates are the
+    bits of ``cand``.  ``anchor`` is as in enumerate_embeddings."""
+    if p.n > g.n:
+        return
+    if anchor is None:
+        order = _extension_order(p, [max(range(p.n), key=lambda v: (p.degrees[v], -v))])
+        prefixes = [()]
+    else:
+        role, (x, y) = anchor
+        if not g.has_edge(x, y):
+            raise ValueError(f"anchor pair ({x},{y}) is not a host edge")
+        order = _extension_order(p, p.edges[role])
+        prefixes = [(x, y), (y, x)]
+    parents = _compile_plan(p, order)
+    img = [-1] * p.n
+    for pre in prefixes:
+        used = 0
+        for i, h in enumerate(pre):
+            img[i] = h
+            used |= 1 << h
+        for cand in _run_plan(parents, g.adj, img, used, len(pre)):
+            yield order, img, cand
 
 
 def enumerate_embeddings(p: Pattern, g: SimpleGraph,
@@ -372,43 +346,21 @@ def enumerate_embeddings(p: Pattern, g: SimpleGraph,
     ``p.edges[edge_role]`` onto the host edge {x,y} are produced, in both
     orientations.  The host pair must be an edge of ``g``.
     """
-    if p.n > g.n:
-        return
-    if anchor is None:
-        order = _extension_order(p, [max(range(p.n), key=lambda v: (p.degrees[v], -v))])
-        plan = _compile_plan(p, order)
-        img_pos = [-1] * p.n
-        for img in _run_plan(plan, g, img_pos, 0, 0):
-            out = [-1] * p.n
-            for i, (v, _) in enumerate(plan):
-                out[v] = img[i]
-            yield tuple(out)
-        return
-    role, (x, y) = anchor
-    if not g.has_edge(x, y):
-        raise ValueError(f"anchor pair ({x},{y}) is not a host edge")
-    a, b = p.edges[role]
-    order = _extension_order(p, [a, b])
-    plan = _compile_plan(p, order)
-    for hx, hy in ((x, y), (y, x)):
-        img_pos = [-1] * p.n
-        img_pos[0], img_pos[1] = hx, hy
-        used = (1 << hx) | (1 << hy)
-        for img in _run_plan(plan, g, img_pos, used, 2):
-            out = [-1] * p.n
-            for i, (v, _) in enumerate(plan):
-                out[v] = img[i]
+    for order, img, cand in _last_masks(p, g, anchor):
+        out = [-1] * p.n
+        for v, h in zip(order, img):
+            out[v] = h
+        for w in iter_bits(cand):
+            out[order[-1]] = w
             yield tuple(out)
 
 
 def contains_copy(p: Pattern, g: SimpleGraph) -> bool:
-    for _ in enumerate_embeddings(p, g):
-        return True
-    return False
+    return any(cand for _, _, cand in _last_masks(p, g))
 
 
 def count_embeddings(p: Pattern, g: SimpleGraph) -> int:
-    return sum(1 for _ in enumerate_embeddings(p, g))
+    return sum(cand.bit_count() for _, _, cand in _last_masks(p, g))
 
 
 # ── closure templates ────────────────────────────────────────────────────
@@ -437,15 +389,11 @@ class ClosureTemplate:
         # level only has to be non-empty.
         self._plans = []
         for role in anchor_roles:
-            a, b = base.edges[role]
-            order = _extension_order(base, [a, b])
-            plan = _compile_plan(base, order)
-            pos_of = {v: i for i, (v, _) in enumerate(plan)}
-            mp = (pos_of[missing_pair[0]], pos_of[missing_pair[1]])
-            last = len(plan) - 1
+            order = _extension_order(base, base.edges[role])
+            mp = (order.index(missing_pair[0]), order.index(missing_pair[1]))
+            last = len(order) - 1
             leaf_other = mp[1] if mp[0] == last else mp[0] if mp[1] == last else -1
-            parents = tuple(pp for _, pp in plan)
-            self._plans.append((parents, mp, leaf_other))
+            self._plans.append((_compile_plan(base, order), mp, leaf_other))
 
 
 def _edge_orbits(p: Pattern, perms: list[tuple[int, ...]],

@@ -9,8 +9,10 @@ no rejection).
 
 Alongside the per-pair classes the state keeps one open-neighbour bitmask
 per vertex (bit v of ``open_nbr[u]`` is set iff uv is open).  The closure
-scan extends each compiled plan up to its last position and finishes there
-with one mask operation: when the last position is an endpoint of the
+scan runs each compiled plan through the plan executor
+``patterns._run_plan``, which fills every position but the last, and
+finishes each partial embedding with one mask operation on the last
+position's candidates: when the last position is an endpoint of the
 missing pair, the pairs closed through that partial embedding are exactly
 its candidate set ANDed with the open neighbours of the other endpoint;
 otherwise the candidate set only has to be non-empty and one bit of
@@ -26,7 +28,8 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .graphs import (SimpleGraph, pair_count, pair_from_index, pair_index,
                      pair_row_offsets)
-from .patterns import Pattern, closure_templates, validate_as_constraint
+from .patterns import (Pattern, _run_plan, closure_templates,
+                       validate_as_constraint)
 from .theory import Rational, step_horizon
 
 OPEN, EDGE, CLOSED = 0, 1, 2
@@ -133,45 +136,28 @@ class ProcessState:
         off = self._off
         out: dict[int, tuple[int, int]] = {}
         for parents, (mp0, mp1), leaf_other in self._plans:
-            last = len(parents) - 1
-            img = [0] * (last + 1)
-
-            def rec(i: int, used: int) -> None:
-                # template bases are connected, so every position past the
-                # anchor has a placed neighbour
-                ps = parents[i]
-                cand = adj[img[ps[0]]]
-                for pp in ps[1:]:
-                    cand &= adj[img[pp]]
-                cand &= ~used
-                if i < last:
-                    while cand:
-                        lsb = cand & -cand
-                        img[i] = lsb.bit_length() - 1
-                        cand ^= lsb
-                        rec(i + 1, used | lsb)
-                elif leaf_other >= 0:
-                    a = img[leaf_other]
-                    hits = cand & open_nbr[a]
-                    while hits:
-                        lsb = hits & -hits
-                        w = lsb.bit_length() - 1
-                        hits ^= lsb
-                        if a < w:
-                            out[off[a] + w - a - 1] = (a, w)
-                        else:
-                            out[off[w] + a - w - 1] = (a, w)
-                elif cand:
-                    a, b = img[mp0], img[mp1]
-                    if (open_nbr[a] >> b) & 1:
-                        if a > b:
-                            a, b = b, a
-                        out[off[a] + b - a - 1] = (a, b)
-
+            img = [0] * len(parents)
             for hx, hy in ((x, y), (y, x)):
                 img[0] = hx
                 img[1] = hy
-                rec(2, (1 << hx) | (1 << hy))
+                for cand in _run_plan(parents, adj, img, (1 << hx) | (1 << hy), 2):
+                    if leaf_other >= 0:
+                        a = img[leaf_other]
+                        hits = cand & open_nbr[a]
+                        while hits:
+                            lsb = hits & -hits
+                            w = lsb.bit_length() - 1
+                            hits ^= lsb
+                            if a < w:
+                                out[off[a] + w - a - 1] = (a, w)
+                            else:
+                                out[off[w] + a - w - 1] = (a, w)
+                    elif cand:
+                        a, b = img[mp0], img[mp1]
+                        if (open_nbr[a] >> b) & 1:
+                            if a > b:
+                                a, b = b, a
+                            out[off[a] + b - a - 1] = (a, b)
         return out
 
 

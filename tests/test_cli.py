@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from hfree import cli
+from hfree import cli, density
 from hfree.config import ExperimentConfig
 from hfree.graphs import write_edge_list
 from hfree.patterns import parse_pattern
+from hfree.process import Exhaustion, init_process, run_until
+from hfree.theory import Constants
 from hfree.verify import run_verification, verify_closure
 
 
@@ -129,6 +131,32 @@ def test_density_threshold_check(tmp_path, capsys):
     assert code == cli.EXIT_VERIFY_FAILED
     check = json.loads(out.splitlines()[-1])
     assert not check["passed"]
+
+
+def test_density_threshold_scans_once(tmp_path, capsys, monkeypatch):
+    st = init_process(60, parse_pattern("C3"), 0)
+    run_until(st, Exhaustion())
+    path = tmp_path / "c3.edges"
+    with open(path, "w") as fh:
+        write_edge_list(st.graph, fh)
+    consts = Constants.for_run(parse_pattern("C3"), 60)
+    want = density.verify_density_bound(st.graph, consts, override=(3.0, 8))
+    calls = []
+    real = density.exact_bounded_scan
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(density, "exact_bounded_scan", counted)
+    for mode in ("exact", "heuristic"):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "density", str(path), "--k", "8",
+                               "--mode", mode, "--threshold", "3")
+        assert code == 0
+        # the report is reused when it is the exact scan the check needs
+        assert len(calls) == 1, mode
+        assert out.splitlines()[-1] == json.dumps(want.as_dict(), sort_keys=True)
 
 
 def test_full_verification_clean():

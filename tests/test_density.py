@@ -62,19 +62,25 @@ def test_exact_scan_matches_brute_force(seed):
 
 
 def test_max_edges_by_size_monotone():
-    g = random_triangle_free(20, 60, 3)
-    rep = exact_bounded_scan(g, 10)
-    vals = [rep.max_edges_by_size[s] for s in sorted(rep.max_edges_by_size)]
-    assert vals == sorted(vals)
+    pet = Pattern(10, PETERSEN_EDGES).to_graph()
+    for g in (random_triangle_free(20, 60, 3), pet):
+        rep = exact_bounded_scan(g, 10)
+        vals = [rep.max_edges_by_size[s] for s in sorted(rep.max_edges_by_size)]
+        assert vals == sorted(vals)
+        # so is the density as the cap grows
+        dens = [bounded_density_scan(g, k).density for k in range(1, 11)]
+        assert dens == sorted(dens) and dens[-1] == rep.density
+    assert rep.density == Fraction(3, 2)    # Petersen, the last host
 
 
 def test_heuristic_is_lower_bound():
-    for seed in range(10):
-        g = random_graph(10, 0.5, seed + 100)
+    hosts = [random_graph(10, 0.5, seed + 100) for seed in range(10)]
+    for g in hosts + [random_graph(40, 0.3, 5)]:
         exact = bounded_density_scan(g, 10, mode="exact")
         heur = bounded_density_scan(g, 10, mode="heuristic")
         assert heur.density <= exact.density
         assert not heur.optimal
+        assert 1 <= len(heur.witness) <= 10
         assert g.induced_edge_count(heur.witness) == heur.density * len(heur.witness)
 
 

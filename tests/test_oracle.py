@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hfree import oracle
 from hfree.graphs import SimpleGraph, pair_index
 from hfree.oracle import (naive_C_uv, naive_closed_set, naive_contains,
                           naive_count_copies, naive_is_maximal_free,
@@ -92,6 +93,16 @@ def test_naive_max_density_limits():
         naive_max_density(SimpleGraph(30), size_cap=13)
 
 
+def test_naive_max_density_rejects_empty_host():
+    # SimpleGraph refuses n = 0, so the host is built around its constructor
+    g = SimpleGraph.__new__(SimpleGraph)
+    g.n, g.adj, g.edge_count = 0, [], 0
+    with pytest.raises(ValueError, match="no vertices"):
+        naive_max_density(g)
+    with pytest.raises(ValueError, match="no vertices"):
+        naive_max_density(g, size_cap=3)
+
+
 def test_naive_count_copies():
     k4 = parse_pattern("K4").to_graph()
     assert naive_count_copies(C3, k4) == 4
@@ -109,6 +120,16 @@ def test_naive_count_copies_limits():
         naive_count_copies(parse_pattern("C7"), SimpleGraph(10))
     with pytest.raises(ValueError):
         naive_closed_set(SimpleGraph(26), C3)
+
+
+def test_naive_count_copies_checks_aut_divides(monkeypatch):
+    k4 = parse_pattern("K4").to_graph()
+    images = [dict(img) for img in oracle._extensions(C3, oracle._adj_sets(k4), {})]
+    assert len(images) == 24
+    monkeypatch.setattr(oracle, "_extensions",
+                        lambda p, adj, img: iter(images + images[:1]))
+    with pytest.raises(RuntimeError, match="not a multiple"):
+        naive_count_copies(C3, k4)
 
 
 def test_maximality_checker():

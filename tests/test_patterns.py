@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from hfree.graphs import SimpleGraph
-from hfree.oracle import naive_count_copies, naive_max_density
+from hfree.oracle import naive_count_copies
 from hfree.patterns import (Pattern, closure_templates, contains_copy,
                             count_automorphisms, count_embeddings,
                             enumerate_embeddings, is_strictly_two_balanced,
-                            max_density, parse_pattern, two_density,
+                            parse_pattern, two_density,
                             validate_as_constraint)
 
 from conftest import random_graph
@@ -96,53 +96,6 @@ def test_not_strictly_two_balanced():
     assert not is_strictly_two_balanced(parse_pattern("K1,3"))
 
 
-def test_max_density_examples(petersen):
-    assert max_density(parse_pattern("K4"))[0] == Fraction(3, 2)
-    assert max_density(parse_pattern("C5"))[0] == 1
-    dens, wit = max_density(petersen)
-    assert dens == Fraction(3, 2)
-    assert wit == tuple(range(10))
-
-
-def test_max_density_witness_and_floor():
-    for seed in range(6):
-        g = random_graph(8, 0.4, seed)
-        dens, wit = max_density(g)
-        assert g.induced_edge_count(wit) == dens * len(wit)
-        if g.edge_count:
-            assert dens >= Fraction(g.edge_count, g.n)
-
-
-def test_max_density_matches_oracle():
-    for seed in range(8):
-        g = random_graph(9, 0.45, seed + 50)
-        assert max_density(g) == naive_max_density(g)
-
-
-def test_max_density_cap_monotone(petersen):
-    g = petersen.to_graph()
-    vals = [max_density(g, size_cap=k)[0] for k in range(1, 11)]
-    assert vals == sorted(vals)
-    assert vals[-1] == Fraction(3, 2)
-
-
-def test_max_density_capped_heuristic_fallback():
-    # beyond the bounded-enumeration budget the capped mode degrades to the
-    # local-search lower bound; the witness still certifies its own value
-    g = random_graph(40, 0.3, 5)
-    dens, wit = max_density(g, size_cap=10)
-    assert g.induced_edge_count(wit) == dens * len(wit)
-    assert 1 <= len(wit) <= 10
-    assert dens > 0
-
-
-def test_max_density_empty_and_limits():
-    dens, wit = max_density(SimpleGraph(3))
-    assert dens == 0 and len(wit) >= 1
-    with pytest.raises(ValueError):
-        max_density(SimpleGraph(30))   # exact full scan beyond limit
-
-
 # ── embeddings ───────────────────────────────────────────────────────────
 
 def test_embedding_counts():
@@ -171,7 +124,9 @@ def test_contains_copy():
 
 def test_labeled_count_equals_copies_times_aut(petersen):
     hosts = [random_graph(8, 0.45, s) for s in range(4)] + [petersen.to_graph()]
-    for spec in ("C3", "C4", "C5", "K1,3", "K4"):
+    # K1's one position is already the last; the two disjoint edges have a
+    # position with no placed neighbour
+    for spec in ("C3", "C4", "C5", "K1,3", "K4", "K1", "K2", "edges:1-2,3-4"):
         p = parse_pattern(spec)
         for g in hosts:
             want = naive_count_copies(p, g) * count_automorphisms(p)
@@ -186,8 +141,9 @@ def test_c5_copies_in_petersen(petersen):
 
 def test_anchored_enumeration_identity():
     # summed over all host edges and all roles, anchored enumeration counts
-    # each embedding once per pattern edge
-    for spec in ("C3", "C4", "K1,3"):
+    # each embedding once per pattern edge; for K2 the anchor fills every
+    # position, and the two disjoint edges leave one with no placed neighbour
+    for spec in ("C3", "C4", "K1,3", "K2", "edges:1-2,3-4"):
         p = parse_pattern(spec)
         for seed in range(3):
             g = random_graph(7, 0.5, seed + 20)
