@@ -1,9 +1,8 @@
 """Trajectory monitors, subgraph-count experiments and diagnostics.
 
-Monitors are report-first: every reference bound carries a configurable
-slack factor and violations are recorded with full context rather than
-aborting, since the underlying estimates are asymptotic and finite-n
-excursions are informative, not bugs.
+Monitors are report-first: each checkpoint records its counts next to
+their reference bounds rather than aborting, since the underlying
+estimates are asymptotic and finite-n excursions are informative, not bugs.
 """
 
 from __future__ import annotations
@@ -11,12 +10,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import SimpleGraph, pair_from_index
 from .patterns import Pattern, contains_copy, count_automorphisms, count_embeddings
 from .process import (EdgeSetF, Horizon, ProcessState, compute_C_uv,
-                      init_process, iter_process, OPEN, EDGE, CLOSED)
+                      init_process, run_until, OPEN, EDGE, CLOSED)
 from .theory import Constants, open_fraction
 
 __all__ = [
@@ -196,9 +196,7 @@ def count_copies_at_m(pattern: Pattern, target: Pattern, n: int, mu,
     if result.impossible:
         return result
     for trial in range(trials):
-        state = init_process(n, pattern, base_seed + trial)
-        for _ in iter_process(state, Horizon(mu=mu)):
-            pass
+        state = run_until(init_process(n, pattern, base_seed + trial), Horizon(mu=mu))
         if presence_only:
             present = contains_copy(target, state.graph)
             count = None
@@ -265,15 +263,9 @@ def check_key_inequality(state: ProcessState, f: EdgeSetF,
     edge_pids = [pid for pid in f.pairs if state.classes[pid] == EDGE]
     closed_pids = [pid for pid in f.pairs if state.classes[pid] == CLOSED]
     cuv = {pid: compute_C_uv(state, pair_from_index(pid, n)) for pid in open_pids}
-    o_f = set()
-    for s in cuv.values():
-        o_f |= s
+    o_f = set().union(*cuv.values())
     sum_sizes = sum(len(s) for s in cuv.values())
-    pairwise = 0
-    pids = sorted(cuv)
-    for x in range(len(pids)):
-        for y in range(x + 1, len(pids)):
-            pairwise += len(cuv[pids[x]] & cuv[pids[y]])
+    pairwise = sum(len(a & b) for a, b in combinations(cuv.values(), 2))
     bound = sum_sizes - pairwise
     open_count = state.open_count()
     reference = 13.0 * a * math.log(n) / m * open_count

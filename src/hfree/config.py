@@ -1,7 +1,10 @@
 """Experiment configuration: a flat, human-editable key-value format.
 
 Grammar: one `key = value` per line; '#' starts a comment; lists are
-comma-separated.  The format round-trips losslessly through
+comma-separated.  In ``copy_patterns`` a comma can also sit inside a
+pattern spec: a bare number after ``K<a>`` continues it as ``K<a>,<b>``,
+and a ``u-v`` pair after an ``edges:`` spec continues that edge list.  The
+format round-trips losslessly through
 ``ExperimentConfig.to_text`` / ``parse_config``, and the canonical text is
 what gets hashed into run manifests.
 """
@@ -9,6 +12,7 @@ what gets hashed into run manifests.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -98,6 +102,11 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
 
+_TEXT_KEYS = {"pattern", "stop", "eps", "mu", "density_mode", "traj_log"}
+_INT_KEYS = {"trials", "seed", "cuv_samples", "intersection_samples",
+             "density_k", "density_budget", "workers"}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     seen = set()
@@ -113,47 +122,41 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in seen:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        if key == "pattern":
-            cfg.pattern = value
+        if key in _TEXT_KEYS:
+            setattr(cfg, key, value)
+        elif key in _INT_KEYS:
+            setattr(cfg, key, int(value))
         elif key == "n":
             cfg.n_values = [int(tok.strip()) for tok in value.split(",")]
-        elif key == "trials":
-            cfg.trials = int(value)
-        elif key == "seed":
-            cfg.seed = int(value)
-        elif key == "stop":
-            cfg.stop = value
-        elif key == "eps":
-            cfg.eps = value
-        elif key == "mu":
-            cfg.mu = value
         elif key == "checkpoints":
             cfg.checkpoints = value.replace(" ", "") if value not in ("auto", "off") else value
         elif key == "monitors":
             cfg.monitors = _parse_bool(value, lineno)
-        elif key == "cuv_samples":
-            cfg.cuv_samples = int(value)
-        elif key == "intersection_samples":
-            cfg.intersection_samples = int(value)
         elif key == "slack":
             cfg.slack = float(value)
-        elif key == "density_k":
-            cfg.density_k = int(value)
-        elif key == "density_mode":
-            cfg.density_mode = value
-        elif key == "density_budget":
-            cfg.density_budget = int(value)
         elif key == "copy_patterns":
-            cfg.copy_patterns = ([] if value == "off"
-                                 else [tok.strip() for tok in value.split(",")])
-        elif key == "traj_log":
-            cfg.traj_log = value
-        elif key == "workers":
-            cfg.workers = int(value)
+            cfg.copy_patterns = [] if value == "off" else _split_patterns(value, lineno)
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
     cfg.validate()
     return cfg
+
+
+def _split_patterns(value: str, lineno: int) -> list[str]:
+    """Split a pattern list on commas, re-joining the commas inside a
+    ``K<a>,<b>`` or ``edges:`` spec."""
+    specs: list[str] = []
+    for tok in (tok.strip() for tok in value.split(",")):
+        prev = specs[-1] if specs else ""
+        if (re.fullmatch(r"\d+", tok) and re.fullmatch(r"K\d+", prev)
+                or re.fullmatch(r"\d+-\d+", tok) and prev.lower().startswith("edges:")):
+            specs[-1] += "," + tok
+        elif re.fullmatch(r"\d+(-\d+)?", tok):
+            raise ValueError(f"line {lineno}: {tok!r} in {value!r} continues no "
+                             f"K<a> or edges: pattern spec")
+        else:
+            specs.append(tok)
+    return specs
 
 
 def _parse_bool(value: str, lineno: int) -> bool:

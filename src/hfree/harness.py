@@ -8,21 +8,23 @@ wall-clock timings live only in the manifest.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional, TextIO
 
 from . import __version__
 from .analysis import default_checkpoints, monitor_trajectory
 from .config import ExperimentConfig, parse_config
 from .density import bounded_density_scan
-from .graphs import pair_from_index, write_edge_list
+from .graphs import write_edge_list
 from .patterns import contains_copy, parse_pattern
-from .process import (Exhaustion, Horizon, RNG_ID, StepCount, init_process,
-                      iter_process, run_until)
+from .process import (Exhaustion, Horizon, ProcessState, RNG_ID, StepCount,
+                      init_process, iter_process)
 from .theory import Constants, LOG_CONVENTION
 
 STATS_COLUMNS = ["n", "trial", "seed", "steps", "final_edges", "exhausted",
@@ -56,17 +58,39 @@ def _metadata_line(cfg: ExperimentConfig) -> str:
 
 def _write_csv(path: str, cfg: ExperimentConfig, columns: list[str],
                rows: list[dict]) -> None:
-    with open(path, "x") as fh:
+    with open(path, "x", newline="") as fh:
         fh.write(_metadata_line(cfg) + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row.get(c, "")) for c in columns) + "\n")
+        out = csv.DictWriter(fh, columns, extrasaction="ignore", lineterminator="\n")
+        out.writeheader()
+        out.writerows(rows)
+
+
+def _write_manifest(path: str, manifest: dict) -> None:
+    """Replace the manifest in one step, so a reader never sees half of it."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+    os.replace(tmp, path)
+
+
+def _log_steps(states: Iterator[ProcessState], fh: TextIO,
+               marks: Optional[set[int]]) -> Iterator[ProcessState]:
+    """Pass the state stream through, writing one trajectory record for
+    each step (each step in ``marks`` when that is not None)."""
+    for state in states:
+        if marks is None or state.step in marks:
+            u, v, closed = state.last_step
+            # the bytes of json.dumps(..., sort_keys=True) on this record
+            fh.write(f'{{"newly_closed": {closed}, "pair": [{u + 1}, {v + 1}], '
+                     f'"step": {state.step}}}\n')
+        yield state
 
 
 def run_trial(cfg_text: str, n: int, n_index: int, trial: int,
               out_dir: str) -> dict:
     """Run one seeded trial and write its per-trial files.  Returns the
-    aggregate rows (picklable) for the parent to merge deterministically."""
+    aggregate rows (picklable) for the parent to merge deterministically.
+    A trial that fails removes the files it wrote before re-raising."""
     cfg = parse_config(cfg_text)
     pattern = parse_pattern(cfg.pattern)
     seed = cfg.trial_seed(n_index, trial)
@@ -83,68 +107,64 @@ def run_trial(cfg_text: str, n: int, n_index: int, trial: int,
     checkpoints = cfg.checkpoint_list()
     if checkpoints is None:
         checkpoints = default_checkpoints(constants) if constants else []
-    monitor_rows: list[dict] = []
-    traj_path = None
-    traj_records: list[dict] = []
+    stem = os.path.join(out_dir, f"trial_n{n}_t{trial:03d}")
+    traj_path = stem + ".traj.jsonl" if cfg.traj_log != "off" else None
+    files: list[str] = []
+    try:
+        # one pass: the step stream goes through the trajectory writer (when
+        # the log is on) into the monitors (when they are on), or is drained
+        with open(traj_path, "x") if traj_path else contextlib.nullcontext() as fh:
+            states = iter_process(state, stop)
+            if traj_path:
+                files.append(traj_path)
+                header = {"n": n, "pattern": cfg.pattern, "seed": seed,
+                          "rng": RNG_ID, "stop": cfg.stop, "log": LOG_CONVENTION}
+                fh.write(json.dumps(header, sort_keys=True) + "\n")
+                marks = None if cfg.traj_log == "full" else set(checkpoints)
+                states = _log_steps(states, fh, marks)
+            monitor_rows = []
+            if cfg.monitors:
+                stats = monitor_trajectory(states, constants, checkpoints,
+                                           cuv_samples=cfg.cuv_samples,
+                                           intersection_samples=cfg.intersection_samples,
+                                           sample_seed=seed + 7919)
+                monitor_rows = [{"n": n, "trial": trial, **rec.as_row()}
+                                for rec in stats.records]
+            else:
+                for _ in states:
+                    pass
 
-    if cfg.monitors:
-        stats = monitor_trajectory(iter_process(state, stop), constants,
-                                   checkpoints, cuv_samples=cfg.cuv_samples,
-                                   intersection_samples=cfg.intersection_samples,
-                                   sample_seed=seed + 7919)
-        for rec in stats.records:
-            row = {"n": n, "trial": trial}
-            row.update(rec.as_row())
-            monitor_rows.append(row)
-    else:
-        run_until(state, stop)
+        edges_path = stem + ".edges.txt"
+        with open(edges_path, "x") as fh:
+            files.append(edges_path)
+            write_edge_list(state.graph, fh)
 
-    if cfg.traj_log != "off":
-        marks = set(checkpoints)
-        traj_path = os.path.join(out_dir, f"trial_n{n}_t{trial:03d}.traj.jsonl")
-        with open(traj_path, "x") as fh:
-            header = {"n": n, "pattern": cfg.pattern, "seed": seed,
-                      "rng": RNG_ID, "stop": cfg.stop, "log": LOG_CONVENTION}
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for (step_no, pid, closed) in state.history:
-                if cfg.traj_log == "checkpoints" and step_no not in marks:
-                    continue
-                u, v = pair_from_index(pid, n)
-                # the bytes of json.dumps(..., sort_keys=True) on this record
-                fh.write(f'{{"newly_closed": {closed}, "pair": [{u + 1}, {v + 1}], '
-                         f'"step": {step_no}}}\n')
+        stats_row = {
+            "n": n, "trial": trial, "seed": seed, "steps": state.step,
+            "final_edges": state.graph.edge_count,
+            "exhausted": int(state.is_exhausted()),
+            "max_degree": max(state.graph.degrees),
+            "closed_pairs": state.closed_count(),
+            "open_pairs": state.open_count(),
+        }
 
-    edges_path = os.path.join(out_dir, f"trial_n{n}_t{trial:03d}.edges.txt")
-    with open(edges_path, "x") as fh:
-        write_edge_list(state.graph, fh)
+        density_rows = []
+        if cfg.density_k > 0:
+            budget = cfg.density_budget if cfg.density_budget > 0 else None
+            report = bounded_density_scan(state.graph, cfg.density_k,
+                                          mode=cfg.density_mode, node_budget=budget,
+                                          seed=seed, constants=constants)
+            density_rows = [{"n": n, "trial": trial, **report.as_row()}]
 
-    stats_row = {
-        "n": n, "trial": trial, "seed": seed, "steps": state.step,
-        "final_edges": state.graph.edge_count,
-        "exhausted": int(state.is_exhausted()),
-        "max_degree": max(state.graph.degrees),
-        "closed_pairs": state.closed_count(),
-        "open_pairs": state.open_count(),
-    }
-
-    density_row = None
-    if cfg.density_k > 0:
-        budget = cfg.density_budget if cfg.density_budget > 0 else None
-        report = bounded_density_scan(state.graph, cfg.density_k,
-                                      mode=cfg.density_mode, node_budget=budget,
-                                      seed=seed, constants=constants)
-        density_row = {"n": n, "trial": trial}
-        density_row.update(report.as_row())
-
-    copy_rows = []
-    for spec in cfg.copy_patterns:
-        target = parse_pattern(spec)
-        copy_rows.append({"n": n, "trial": trial, "target": spec,
-                          "present": int(contains_copy(target, state.graph))})
-
-    files = [edges_path] + ([traj_path] if traj_path else [])
-    return {"n": n, "trial": trial, "stats": stats_row, "monitors": monitor_rows,
-            "density": density_row, "copies": copy_rows, "files": files}
+        copy_rows = [{"n": n, "trial": trial, "target": spec,
+                      "present": int(contains_copy(parse_pattern(spec), state.graph))}
+                     for spec in cfg.copy_patterns]
+    except BaseException:
+        for path in files:
+            os.remove(path)
+        raise
+    return {"stats": [stats_row], "monitors": monitor_rows,
+            "density": density_rows, "copies": copy_rows, "files": files}
 
 
 @dataclass
@@ -180,8 +200,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
         "timings": {},
         "finalized": False,
     }
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_manifest(manifest_path, manifest)
 
     t0 = time.time()
     cfg_text = cfg.to_text()
@@ -207,38 +226,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
             except Exception as exc:
                 failures.append(f"trial n={n} t={trial}: {exc}")
 
-    stats_rows, monitor_rows, density_rows, copy_rows, files = [], [], [], [], []
-    for key in sorted(results):
-        res = results[key]
-        stats_rows.append(res["stats"])
-        monitor_rows.extend(res["monitors"])
-        if res["density"]:
-            density_rows.append(res["density"])
-        copy_rows.extend(res["copies"])
-        files.extend(res["files"])
-
-    stats_path = os.path.join(out_dir, "stats.csv")
-    _write_csv(stats_path, cfg, STATS_COLUMNS, stats_rows)
-    files.append(stats_path)
-    if monitor_rows:
-        path = os.path.join(out_dir, "monitors.csv")
-        _write_csv(path, cfg, MONITOR_COLUMNS, monitor_rows)
-        files.append(path)
-    if density_rows:
-        path = os.path.join(out_dir, "density.csv")
-        _write_csv(path, cfg, DENSITY_COLUMNS, density_rows)
-        files.append(path)
-    if copy_rows:
-        path = os.path.join(out_dir, "copies.csv")
-        _write_csv(path, cfg, COPY_COLUMNS, copy_rows)
-        files.append(path)
+    done = [results[key] for key in sorted(results)]
+    files = [path for res in done for path in res["files"]]
+    for name, columns in (("stats", STATS_COLUMNS), ("monitors", MONITOR_COLUMNS),
+                          ("density", DENSITY_COLUMNS), ("copies", COPY_COLUMNS)):
+        rows = [row for res in done for row in res[name]]
+        if rows or name == "stats":  # stats.csv is written even if every trial failed
+            path = os.path.join(out_dir, f"{name}.csv")
+            _write_csv(path, cfg, columns, rows)
+            files.append(path)
 
     manifest["files"] = sorted(os.path.relpath(p, out_dir) for p in files)
     manifest["timings"] = {"wall_seconds": round(time.time() - t0, 3)}
     manifest["failures"] = failures
     manifest["finalized"] = True
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_manifest(manifest_path, manifest)
     return RunResult(out_dir=out_dir, manifest_path=manifest_path,
                      failures=failures)
 
@@ -246,13 +248,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
 # ── aggregation ──────────────────────────────────────────────────────────
 
 def read_csv_rows(path: str) -> list[dict]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    body = [ln for ln in lines if not ln.startswith("#")]
-    if not body:
-        return []
-    header = body[0].split(",")
-    return [dict(zip(header, ln.split(","))) for ln in body[1:] if ln]
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
 
 
 def aggregate_stats(out_dir: str) -> dict:

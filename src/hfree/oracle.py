@@ -77,16 +77,18 @@ def naive_closed_set(g: SimpleGraph, p: Pattern) -> set[int]:
     """Pair ids of all non-edges whose addition would complete a copy of
     ``p`` through them (the definitional closed set)."""
     _check_host(g)
+    adj = _adj_sets(g)
     closed = set()
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
+            if v in adj[u]:
                 continue
-            scratch = g.copy()
-            scratch.add_edge(u, v)
-            adj = _adj_sets(scratch)
+            adj[u].add(v)
+            adj[v].add(u)
             if next(_copies_through(p, adj, u, v), None) is not None:
                 closed.add(pair_index(u, v, g.n))
+            adj[u].remove(v)
+            adj[v].remove(u)
     return closed
 
 
@@ -100,21 +102,22 @@ def naive_C_uv(g: SimpleGraph, p: Pattern, uv: tuple[int, int]) -> set[int]:
     closed = naive_closed_set(g, p)
     if pair_index(u, v, g.n) in closed:
         raise ValueError(f"pair ({u},{v}) is closed")
+    adj = _adj_sets(g)
+    adj[u].add(v)
+    adj[v].add(u)
     out = set()
     for x in range(g.n):
         for y in range(x + 1, g.n):
-            if g.has_edge(x, y) or {x, y} == {u, v}:
+            if y in adj[x] or pair_index(x, y, g.n) in closed:
                 continue
-            if pair_index(x, y, g.n) in closed:
-                continue
-            scratch = g.copy()
-            scratch.add_edge(u, v)
-            scratch.add_edge(x, y)
-            adj = _adj_sets(scratch)
+            adj[x].add(y)
+            adj[y].add(x)
             if any({img[a], img[b]} == {x, y}
                    for img in _copies_through(p, adj, u, v)
                    for a, b in p.edges):
                 out.add(pair_index(x, y, g.n))
+            adj[x].remove(y)
+            adj[y].remove(x)
     return out
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .graphs import (SimpleGraph, pair_count, pair_from_index, pair_index,
                      pair_row_offsets)
@@ -79,7 +79,7 @@ class ProcessState:
         self.open_list = list(range(npairs))
         self.open_pos = list(range(npairs))
         self.step = 0
-        self.history: list[tuple[int, int, int]] = []
+        self.last_step: Optional[tuple[int, int, int]] = None  # (u, v, closed)
         self.stopped_early = False
         self._plans = [plan for tmpl in closure_templates(pattern)
                        for plan in tmpl._plans]
@@ -178,7 +178,8 @@ def newly_closed_after(state: ProcessState, e: tuple[int, int]) -> set[int]:
 
 def step(state: ProcessState) -> tuple[int, int]:
     """Add one uniformly random open pair as an edge; update the
-    classification; return the chosen pair."""
+    classification; record the pair and how many pairs it closed in
+    ``state.last_step``; return the pair."""
     if not state.open_list:
         raise RuntimeError("process exhausted: no open pair remains")
     j = state.rng.randrange(len(state.open_list))
@@ -189,7 +190,7 @@ def step(state: ProcessState) -> tuple[int, int]:
     state.step += 1
     newly = state._closure_scan(u, v)
     state._retire(newly, CLOSED)
-    state.history.append((state.step, pid, len(newly)))
+    state.last_step = (u, v, len(newly))
     return (u, v)
 
 
@@ -219,19 +220,12 @@ def iter_process(state: ProcessState, stop: StopRule) -> Iterator[ProcessState]:
     state.stopped_early = target is not None and state.step < target
 
 
-def run_until(state: ProcessState, stop: StopRule,
-              checkpoints: Iterable[int] = (),
-              on_checkpoint: Optional[Callable[[ProcessState], None]] = None,
-              ) -> ProcessState:
+def run_until(state: ProcessState, stop: StopRule) -> ProcessState:
     """Advance until the stop rule or exhaustion.  If a requested step count
     exceeds the process lifetime the exhausted state is returned with
     ``stopped_early`` set instead of raising."""
-    marks = set(checkpoints)
-    if on_checkpoint is not None and state.step in marks:
-        on_checkpoint(state)
-    for st in iter_process(state, stop):
-        if on_checkpoint is not None and st.step in marks:
-            on_checkpoint(st)
+    for _ in iter_process(state, stop):
+        pass
     return state
 
 

@@ -166,10 +166,7 @@ class Constants:
             mu = dm if mu is None else as_fraction(mu)
         else:
             eps, mu = as_fraction(eps), as_fraction(mu)
-        ok, lines = validate_eps_mu(pattern, eps, mu)
-        if not ok:
-            raise ValueError("invalid (eps, mu): " + "; ".join(lines))
-        c, d = density_constants(pattern, eps, mu)
+        c, d = density_constants(pattern, eps, mu)  # validates (eps, mu)
         return cls(pattern=pattern, n=n, eps=eps, mu=mu,
                    p=edge_scale(n, pattern),
                    m_steps=step_horizon(n, pattern, mu),

@@ -46,7 +46,9 @@ def test_monitor_sampling_does_not_perturb():
                        cuv_samples=5)
     b = init_process(40, C3, 7)
     run_until(b, StepCount(20))
-    assert a.history == b.history
+    assert a.graph.adj == b.graph.adj
+    assert a.open_list == b.open_list
+    assert a.rng.getstate() == b.rng.getstate()
 
 
 @pytest.mark.parametrize("corrupt,message", [

@@ -2,8 +2,10 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfree.config import ExperimentConfig, parse_config
+from hfree.density import SearchBudgetExceeded
 from hfree.harness import aggregate_stats, read_csv_rows, run_experiment, run_trial
 
 
@@ -15,6 +17,56 @@ def test_config_round_trip():
                            copy_patterns=["C5"], traj_log="full", workers=2)
     assert parse_config(cfg.to_text()) == cfg
     assert cfg.config_hash() == parse_config(cfg.to_text()).config_hash()
+
+
+_small = st.integers(min_value=1, max_value=60)
+_pattern_specs = st.one_of(
+    st.builds("C{}".format, st.integers(min_value=3, max_value=9)),
+    st.builds("K{}".format, _small),
+    st.builds("K{},{}".format, _small, _small),
+    st.just("Q3"),
+    st.lists(st.builds("{}-{}".format, _small, _small), min_size=1, max_size=5)
+    .map(lambda pairs: "edges:" + ",".join(pairs)),
+)
+_rationals = st.one_of(st.none(), st.builds("{}/{}".format, _small, _small),
+                       st.builds("0.{:03d}".format, st.integers(0, 999)))
+
+
+@given(st.builds(
+    ExperimentConfig,
+    pattern=_pattern_specs,
+    n_values=st.lists(st.integers(min_value=1, max_value=10**5), min_size=1),
+    trials=_small, seed=st.integers(min_value=0, max_value=10**9),
+    stop=st.one_of(st.sampled_from(["exhaustion", "horizon"]),
+                   st.builds("steps:{}".format, st.integers(0, 10**6))),
+    eps=_rationals, mu=_rationals,
+    checkpoints=st.one_of(st.sampled_from(["auto", "off"]),
+                          st.lists(st.integers(0, 10**6), min_size=1)
+                          .map(lambda xs: ",".join(map(str, xs)))),
+    monitors=st.booleans(), cuv_samples=st.integers(0, 100),
+    intersection_samples=st.integers(0, 1000),
+    slack=st.integers(0, 10**6).map(lambda k: k / 1000),
+    density_k=st.integers(0, 20), density_mode=st.sampled_from(["exact", "heuristic"]),
+    density_budget=st.integers(0, 10**6),
+    copy_patterns=st.lists(_pattern_specs, max_size=6),
+    traj_log=st.sampled_from(["off", "checkpoints", "full"]),
+    workers=st.integers(1, 8)))
+@settings(max_examples=200)
+def test_config_round_trip_property(cfg):
+    text = cfg.to_text()
+    assert parse_config(text) == cfg
+    assert parse_config(text).to_text() == text
+
+
+def test_config_pattern_list_continuations():
+    cfg = parse_config("copy_patterns = K1,3, C5, edges: 1-2, 2-3,K2\n")
+    assert cfg.copy_patterns == ["K1,3", "C5", "edges: 1-2,2-3", "K2"]
+    for bad in ("3, C5", "K1,3,4", "C5, 1-2", "edges:1-2,3"):
+        with pytest.raises(ValueError, match="continues no"):
+            parse_config(f"copy_patterns = {bad}\n")
+    # a config that parsed before keeps its canonical text and hash
+    cfg = parse_config("copy_patterns = C5, C4\n")
+    assert cfg.to_text().splitlines()[-3] == "copy_patterns = C5, C4"
 
 
 def test_config_parse_errors():
@@ -100,6 +152,33 @@ def test_partial_failure_recorded(tmp_path):
     assert any("n=3" in f for f in res.failures)
     manifest = json.load(open(res.manifest_path))
     assert manifest["failures"]
+
+
+def test_failed_trial_leaves_only_listed_files(tmp_path):
+    # C4-free hosts contain triangles, so branch-and-bound needs nodes
+    cfg = ExperimentConfig(pattern="C4", n_values=[15], trials=1, seed=1,
+                           density_k=6, density_budget=1, traj_log="full")
+    one = tmp_path / "one"
+    one.mkdir()
+    with pytest.raises(SearchBudgetExceeded):
+        run_trial(cfg.to_text(), 15, 0, 0, str(one))
+    assert os.listdir(one) == []   # the edge list and trajectory log are gone
+    out = tmp_path / "run"
+    res = run_experiment(cfg, str(out))
+    assert not res.ok
+    manifest = json.load(open(res.manifest_path))
+    assert sorted(os.listdir(out)) == sorted(manifest["files"] + ["manifest.json"])
+
+
+def test_comma_pattern_targets_run_end_to_end(tmp_path):
+    cfg = ExperimentConfig(pattern="C4", n_values=[12], trials=1, seed=2,
+                           copy_patterns=["K1,3", "edges:1-2,2-3"])
+    out = tmp_path / "run"
+    assert run_experiment(cfg, str(out)).ok
+    assert '"K1,3"' in (out / "copies.csv").read_text()
+    rows = read_csv_rows(str(out / "copies.csv"))
+    assert [r["target"] for r in rows] == ["K1,3", "edges:1-2,2-3"]
+    assert all(r["present"] == "1" for r in rows)
 
 
 def test_aggregate_stats(tmp_path):

@@ -144,6 +144,28 @@ def test_edge_list_round_trip():
     assert list(g2.edges()) == list(g.edges())
 
 
+@st.composite
+def _graphs(draw):
+    """Hosts of 1..40 vertices whose edges avoid the last ``tail`` vertices,
+    so the highest labels are often isolated."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    live = n - draw(st.integers(min_value=0, max_value=n - 1))
+    g = SimpleGraph(n)
+    pairs = [(u, v) for u in range(live) for v in range(u + 1, live)]
+    for u, v in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ():
+        g.add_edge(u, v)
+    return g
+
+
+@given(_graphs())
+def test_edge_list_round_trip_property(g):
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    buf.seek(0)
+    g2 = read_edge_list(buf)
+    assert (g2.n, g2.adj, g2.edge_count) == (g.n, g.adj, g.edge_count)
+
+
 def test_edge_list_isolated_vertices_survive():
     g = SimpleGraph(6)
     g.add_edge(0, 1)

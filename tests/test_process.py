@@ -5,15 +5,21 @@ from collections import Counter
 
 import pytest
 
-from hfree.graphs import pair_count, pair_from_index, write_edge_list
+from hfree.graphs import pair_count, pair_from_index, pair_index, write_edge_list
 from hfree.oracle import naive_C_uv, naive_closed_set, naive_is_maximal_free
 from hfree.patterns import contains_copy, parse_pattern
 from hfree.process import (CLOSED, EDGE, OPEN, EdgeSetF, Exhaustion, Horizon,
                            StepCount, compute_C_uv, compute_O_F, init_process,
-                           newly_closed_after, run_until, step)
+                           iter_process, newly_closed_after, run_until, step)
 
 C3 = parse_pattern("C3")
 C5 = parse_pattern("C5")
+
+
+def step_records(state, stop):
+    """(step, pair id, pairs closed) of every step to the stop rule."""
+    return [(st.step, pair_index(*st.last_step[:2], st.n), st.last_step[2])
+            for st in iter_process(state, stop)]
 
 
 def closed_pids(state):
@@ -51,9 +57,7 @@ def test_init_rejections():
 def test_same_seed_identical():
     a = init_process(12, C3, 5)
     b = init_process(12, C3, 5)
-    run_until(a, Exhaustion())
-    run_until(b, Exhaustion())
-    assert a.history == b.history
+    assert step_records(a, Exhaustion()) == step_records(b, Exhaustion())
     assert list(a.graph.edges()) == list(b.graph.edges())
 
 
@@ -95,7 +99,7 @@ def test_newly_closed_path():
 def test_newly_closed_first_edge_empty():
     st = init_process(6, C3, 0)
     pair = step(st)
-    assert st.history[-1][2] == 0  # nothing closes after the first edge
+    assert st.last_step == (*pair, 0)  # nothing closes after the first edge
     assert newly_closed_after(st, pair) == set()
 
 
@@ -236,21 +240,16 @@ def test_run_until_horizon():
     assert st.step == 21  # floor(0.01 * 100^2 * 0.1 * sqrt(ln 100))
 
 
-def test_iter_process_checkpoints():
-    st = init_process(12, C3, 0)
-    seen = []
-    run_until(st, StepCount(8), checkpoints=[2, 5, 8],
-              on_checkpoint=lambda s: seen.append(s.step))
-    assert seen == [2, 5, 8]
-
-
-def test_history_records():
+def test_last_step_records():
     st = init_process(8, C3, 2)
-    run_until(st, StepCount(4))
-    assert [h[0] for h in st.history] == [1, 2, 3, 4]
-    for _, pid, closed in st.history:
+    assert st.last_step is None
+    records = step_records(st, StepCount(4))
+    assert [r[0] for r in records] == [1, 2, 3, 4]
+    for _, pid, closed in records:
         assert 0 <= pid < pair_count(8)
+        assert st.classes[pid] == EDGE
         assert closed >= 0
+    assert st.closed_count() == sum(r[2] for r in records)
 
 
 def test_edge_set_f_constructors():
@@ -268,15 +267,14 @@ def test_edge_set_f_constructors():
 
 def _trajectory_digests(spec, n, seed):
     st = init_process(n, parse_pattern(spec), seed)
-    run_until(st, Exhaustion())
-    history = "".join(f"{s} {p} {c}\n" for s, p, c in st.history)
+    history = "".join(f"{s} {p} {c}\n" for s, p, c in step_records(st, Exhaustion()))
     edges = io.StringIO()
     write_edge_list(st.graph, edges)
     return (st.step, hashlib.sha256(history.encode()).hexdigest(),
             hashlib.sha256(edges.getvalue().encode()).hexdigest())
 
 
-# Digests of the step history and final edge list, recorded with the
+# Digests of the per-step records and final edge list, recorded with the
 # row-walk pair decode and the per-pair recursive closure scan; any change
 # to sampling, decoding or closure order shows up here.
 @pytest.mark.parametrize("spec,n,seed,want", [
