@@ -107,12 +107,13 @@ def _checkpoint(state: ProcessState, constants: Constants, cuv_samples: int,
     t = constants.t(i)
     bound = constants.open_bound(i)
     open_count = state.open_count()
-    # recount the classification on its own: the sampling array, the class
-    # bytes and the open-neighbour masks must agree on the open pairs
-    classed_open = state.classes.count(OPEN)
-    if classed_open != open_count:
-        raise RuntimeError(f"step {i}: {classed_open} pairs classed open but "
-                           f"{open_count} in the sampling array")
+    # independent checks: no pair is both an edge and open, and the masks
+    # count each pair of the sampling array at both of its ends
+    for u in range(state.n):
+        both = state.graph.adj[u] & state.open_nbr[u]
+        if both:
+            raise RuntimeError(f"step {i}: pair ({u},{both.bit_length() - 1}) "
+                               f"is both an edge and open")
     mask_ends = sum(m.bit_count() for m in state.open_nbr)
     if mask_ends != 2 * open_count:
         raise RuntimeError(f"step {i}: open-neighbour masks hold {mask_ends} "
@@ -259,9 +260,10 @@ def check_key_inequality(state: ProcessState, f: EdgeSetF,
     m = constants.m_steps
     verts = f.vertex_span(n)
     a = len(verts)
-    open_pids = [pid for pid in f.pairs if state.classes[pid] == OPEN]
-    edge_pids = [pid for pid in f.pairs if state.classes[pid] == EDGE]
-    closed_pids = [pid for pid in f.pairs if state.classes[pid] == CLOSED]
+    by_class: dict[int, list[int]] = {OPEN: [], EDGE: [], CLOSED: []}
+    for pid in f.pairs:
+        by_class[state.class_of(*pair_from_index(pid, n))].append(pid)
+    open_pids, edge_pids, closed_pids = by_class.values()
     cuv = {pid: compute_C_uv(state, pair_from_index(pid, n)) for pid in open_pids}
     o_f = set().union(*cuv.values())
     sum_sizes = sum(len(s) for s in cuv.values())

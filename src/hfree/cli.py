@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--threshold", type=float, default=None,
                        help="also report the e(A) < c|A| check at this c")
     p_den.add_argument("--pattern", default="C3",
-                       help="pattern for reference constants")
+                       help="forbidden pattern (checked only; the scan ignores it)")
     return parser
 
 
@@ -139,17 +139,11 @@ def cmd_density(args) -> int:
     with open(args.graph) as fh:
         g = read_edge_list(fh)
     budget = args.budget if args.budget > 0 else None
-    pattern = parse_pattern(args.pattern)
-    constants = None
-    try:
-        constants = Constants.for_run(pattern, g.n)
-    except ValueError:
-        pass  # reference constants undefined for tiny hosts; scan still runs
-    report = bounded_density_scan(g, args.k, mode=args.mode,
-                                  node_budget=budget, constants=constants)
+    parse_pattern(args.pattern)
+    report = bounded_density_scan(g, args.k, mode=args.mode, node_budget=budget)
     print(json.dumps(report.as_row(), sort_keys=True))
     if args.threshold is not None:
-        check = verify_density_bound(g, constants,
+        check = verify_density_bound(g, None,
                                        override=(args.threshold, args.k),
                                        node_budget=budget, scan=report)
         print(json.dumps(check.as_dict(), sort_keys=True))

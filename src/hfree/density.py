@@ -39,6 +39,8 @@ from typing import Optional
 from .graphs import SimpleGraph, iter_bits
 
 EXACT_CAP_LIMIT = 12
+POCKET_BEAM = 6          # children kept per pocket in the warm start's beam
+WARM_RESTARTS = 24       # randomized greedy growths after the pockets
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -55,7 +57,6 @@ class DensityReport:
     optimal: bool                   # proof of optimality flag
     nodes_explored: int = 0
     max_edges_by_size: dict = field(default_factory=dict)
-    references: Optional[dict] = None
     # per size: which stage proved the max ("warm" | "anchor" | "bnb"), and
     # the branch-and-bound nodes spent on it; neither goes into as_row()
     settled_by: dict[int, str] = field(default_factory=dict)
@@ -87,7 +88,7 @@ def is_triangle_free(g: SimpleGraph) -> bool:
 
 # ── warm starts ──────────────────────────────────────────────────────────
 
-def bipartite_pocket_warm(g: SimpleGraph, cap: int, beam: int = 6,
+def bipartite_pocket_warm(g: SimpleGraph, cap: int,
                           ) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Beam search for complete-bipartite pockets K_{s,t}; returns, per
     total size sigma <= cap, the best (s*t, witness) found.  A lower bound
@@ -141,13 +142,13 @@ def bipartite_pocket_warm(g: SimpleGraph, cap: int, beam: int = 6,
                         scored.append((c2, w))
                 qual = [w for _, w in scored]
                 scored.sort(reverse=True)
-                for c2, w in scored[:beam]:
+                for c2, w in scored[:POCKET_BEAM]:
                     left2 = left + [w]
                     com2 = common & adj[w]
                     offer(left2, com2)
                     nxt.append((left2, com2, qual))
             nxt.sort(key=lambda it: -(it[1].bit_count() * (len(it[0]) + 1)))
-            frontier = nxt[: beam * 2]
+            frontier = nxt[: POCKET_BEAM * 2]
     return best
 
 
@@ -213,21 +214,20 @@ def _greedy_grow(g: SimpleGraph, cap: int, rng: random.Random,
 
 
 def local_search_warm(g: SimpleGraph, cap: int, seed: int = 0,
-                      restarts: int = 24,
                       ) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Best edge count per size from pockets + randomized greedy restarts."""
     record = bipartite_pocket_warm(g, cap)
     record.setdefault(1, (0, (0,)))
     rng = random.Random(seed)
-    for _ in range(restarts):
+    for _ in range(WARM_RESTARTS):
         _greedy_grow(g, cap, rng, record)
     return record
 
 
 def local_search_density(g: SimpleGraph, cap: int, seed: int = 0,
-                         restarts: int = 24) -> tuple[Fraction, tuple[int, ...]]:
+                         ) -> tuple[Fraction, tuple[int, ...]]:
     """Best ratio found heuristically (a lower bound on the true max)."""
-    record = local_search_warm(g, cap, seed=seed, restarts=restarts)
+    record = local_search_warm(g, cap, seed=seed)
     best = Fraction(0)
     wit: tuple[int, ...] = (0,)
     for size in sorted(record):
@@ -640,30 +640,18 @@ def exact_bounded_scan(g: SimpleGraph, k: int,
 
 def bounded_density_scan(g: SimpleGraph, k: int, mode: str = "exact",
                          node_budget: Optional[int] = None,
-                         seed: int = 0,
-                         constants=None) -> DensityReport:
+                         seed: int = 0) -> DensityReport:
     """Bounded density scan: exact (k <= 12) or heuristic (any k)."""
     if k < 1:
         raise ValueError("size cap must be >= 1")
     if mode == "exact":
-        report = exact_bounded_scan(g, k, node_budget=node_budget,
-                                    warm_seed=seed)
-    elif mode == "heuristic":
+        return exact_bounded_scan(g, k, node_budget=node_budget, warm_seed=seed)
+    if mode == "heuristic":
         dens, wit = local_search_density(g, min(k, g.n), seed=seed)
-        report = DensityReport(size_cap=k, density=dens, witness=wit,
-                               method="local-search-heuristic", optimal=False)
         _check_witness(g, dens, wit)
-    else:
-        raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'heuristic')")
-    if constants is not None:
-        kk = min(k, g.n)
-        report.references = {
-            "edge_bound_at_cap": max(8.0 / float(constants.eps) * kk,
-                                     constants.p * kk * kk
-                                     * g.n ** (2.0 * float(constants.eps))),
-            "c": constants.c,
-        }
-    return report
+        return DensityReport(size_cap=k, density=dens, witness=wit,
+                             method="local-search-heuristic", optimal=False)
+    raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'heuristic')")
 
 
 @dataclass
@@ -724,7 +712,7 @@ def verify_density_bound(g: SimpleGraph, constants,
     exact = k <= EXACT_CAP_LIMIT
     if scan is None or scan.size_cap != k or scan.optimal != exact:
         scan = bounded_density_scan(g, k, mode="exact" if exact else "heuristic",
-                                    node_budget=node_budget, constants=constants)
+                                    node_budget=node_budget)
     passed = float(scan.density) < c
     detail = (f"max density {scan.density} vs threshold {c}"
               + ("" if scan.optimal else " (heuristic lower bound only)"))

@@ -153,7 +153,7 @@ def run_trial(cfg_text: str, n: int, n_index: int, trial: int,
             budget = cfg.density_budget if cfg.density_budget > 0 else None
             report = bounded_density_scan(state.graph, cfg.density_k,
                                           mode=cfg.density_mode, node_budget=budget,
-                                          seed=seed, constants=constants)
+                                          seed=seed)
             density_rows = [{"n": n, "trial": trial, **report.as_row()}]
 
         copy_rows = [{"n": n, "trial": trial, "target": spec,

@@ -2,9 +2,11 @@
 
 Everything here recomputes definitions directly: containment checks walk
 pattern vertices in fixed index order over set-based adjacency (no bitset
-intersections, no precompiled templates, no orbit collapsing), densities
-come from explicit subset enumeration.  Size limits are hard errors -- an
-oracle must never silently approximate.
+intersections, no precompiled templates), densities come from explicit
+subset enumeration.  The one symmetry used: a copy through a host edge
+needs only one pattern arc per automorphism orbit as the edge's preimage,
+with the automorphisms found here as the copies of the pattern in itself.
+Size limits are hard errors -- an oracle must never silently approximate.
 
 These ship in the production package so the `verify` CLI can run fast-vs-
 oracle equivalence end to end.
@@ -13,6 +15,7 @@ oracle equivalence end to end.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterator, Optional
 
@@ -58,13 +61,29 @@ def _extensions(p: Pattern, adj: list[set[int]],
         del img[pv]
 
 
+@lru_cache(maxsize=None)
+def _arc_orbit_reps(p: Pattern) -> tuple[tuple[int, int], ...]:
+    """One ordered edge (arc) of ``p`` per orbit of Aut(p) on arcs.  The
+    automorphisms are the embeddings of ``p`` into its own adjacency."""
+    auts = [dict(img) for img in _extensions(p, _adj_sets(p.to_graph()), {})]
+    reps, seen = [], set()
+    for a, b in p.edges:
+        for arc in ((a, b), (b, a)):
+            if arc not in seen:
+                reps.append(arc)
+                seen.update((s[arc[0]], s[arc[1]]) for s in auts)
+    return tuple(reps)
+
+
 def _copies_through(p: Pattern, adj: list[set[int]],
                     u: int, v: int) -> Iterator[dict[int, int]]:
-    """Every copy of ``p`` that uses the host edge {u,v}: each ordered
-    pattern edge in turn is the preimage of (u, v)."""
-    for a, b in p.edges:
-        for ha, hb in ((u, v), (v, u)):
-            yield from _extensions(p, adj, {a: ha, b: hb})
+    """Every copy of ``p`` that uses the host edge {u,v}, found at least
+    once: each orbit's representative arc in turn is the preimage of
+    (u, v).  An embedding that maps some arc to (u, v), composed with an
+    automorphism, is an embedding of the same copy that maps the arc's
+    orbit representative to (u, v)."""
+    for a, b in _arc_orbit_reps(p):
+        yield from _extensions(p, adj, {a: u, b: v})
 
 
 def naive_contains(p: Pattern, g: SimpleGraph) -> bool:
@@ -195,10 +214,7 @@ def naive_count_copies(p: Pattern, g: SimpleGraph) -> int:
         raise ValueError(f"copy counting limited to patterns on {COPY_PATTERN_LIMIT} vertices")
     labeled = sum(1 for _ in _extensions(p, _adj_sets(g), {}))
     aut = 0
-    padj = [set() for _ in range(p.n)]
-    for a, b in p.edges:
-        padj[a].add(b)
-        padj[b].add(a)
+    padj = _adj_sets(p.to_graph())
     for perm in permutations(range(p.n)):
         if all((perm[b] in padj[perm[a]]) == (b in padj[a])
                for a in range(p.n) for b in range(a + 1, p.n)):

@@ -7,16 +7,16 @@ edge and reading off the image of the missing pair.  Uniform sampling from
 the open pairs uses a dense array with a position map (O(1) draw + delete,
 no rejection).
 
-Alongside the per-pair classes the state keeps one open-neighbour bitmask
-per vertex (bit v of ``open_nbr[u]`` is set iff uv is open).  The closure
-scan runs each compiled plan through the plan executor
-``patterns._run_plan``, which fills every position but the last, and
-finishes each partial embedding with one mask operation on the last
-position's candidates: when the last position is an endpoint of the
-missing pair, the pairs closed through that partial embedding are exactly
-its candidate set ANDed with the open neighbours of the other endpoint;
-otherwise the candidate set only has to be non-empty and one bit of
-``open_nbr`` says whether the missing pair is still open.
+The classification is two bitmasks per vertex: bit v of ``graph.adj[u]`` is
+set iff uv is an edge, bit v of ``open_nbr[u]`` iff uv is open, and a pair
+with neither bit is closed.  The closure scan runs each compiled plan
+through the plan executor ``patterns._run_plan``, which fills every
+position but the last, and finishes each partial embedding with one mask
+operation on the last position's candidates: when the last position is an
+endpoint of the missing pair, the pairs closed through that partial
+embedding are exactly its candidate set ANDed with the open neighbours of
+the other endpoint; otherwise the candidate set only has to be non-empty
+and one bit of ``open_nbr`` says whether the missing pair is still open.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class ProcessState:
         self.rng = random.Random(seed)
         self.graph = SimpleGraph(n)
         npairs = pair_count(n)
-        self.classes = bytearray(npairs)  # all OPEN
         full = (1 << n) - 1
         self.open_nbr = [full ^ (1 << u) for u in range(n)]
         self.open_list = list(range(npairs))
@@ -87,13 +86,10 @@ class ProcessState:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def pair_id(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return self._off[u] + v - u - 1
-
     def class_of(self, u: int, v: int) -> int:
-        return self.classes[self.pair_id(u, v)]
+        if (self.graph.adj[u] >> v) & 1:
+            return EDGE
+        return OPEN if (self.open_nbr[u] >> v) & 1 else CLOSED
 
     def open_count(self) -> int:
         return len(self.open_list)
@@ -107,15 +103,19 @@ class ProcessState:
     def open_pair_ids(self) -> list[int]:
         return list(self.open_list)
 
-    def _retire(self, ends: dict[int, tuple[int, int]], cls: int) -> None:
-        """Move the open pairs ``ends`` (pair id -> endpoints) to class
-        ``cls``, in increasing id order: each is swap-removed from the
+    def closed_pair_ids(self) -> set[int]:
+        n, off = self.n, self._off
+        return {off[u] + v - u - 1 for u in range(n) for v in range(u + 1, n)
+                if self.class_of(u, v) == CLOSED}
+
+    def _retire(self, ends: dict[int, tuple[int, int]]) -> None:
+        """Take the open pairs ``ends`` (pair id -> endpoints) out of the
+        open class, in increasing id order: each is swap-removed from the
         sampling array and cleared in both open-neighbour masks."""
-        classes, open_list, open_pos = self.classes, self.open_list, self.open_pos
+        open_list, open_pos = self.open_list, self.open_pos
         open_nbr = self.open_nbr
         for pid in sorted(ends):
             u, v = ends[pid]
-            classes[pid] = cls
             i = open_pos[pid]
             last = open_list[-1]
             open_list[i] = last
@@ -185,11 +185,11 @@ def step(state: ProcessState) -> tuple[int, int]:
     j = state.rng.randrange(len(state.open_list))
     pid = state.open_list[j]
     u, v = pair_from_index(pid, state.n)
-    state._retire({pid: (u, v)}, EDGE)
+    state._retire({pid: (u, v)})
     state.graph.add_edge(u, v)
     state.step += 1
     newly = state._closure_scan(u, v)
-    state._retire(newly, CLOSED)
+    state._retire(newly)
     state.last_step = (u, v, len(newly))
     return (u, v)
 
@@ -237,9 +237,9 @@ def compute_C_uv(state: ProcessState, uv: tuple[int, int]) -> set[int]:
     scan with uv added to the state's graph for the duration of the call
     (adjacency bits only; they are cleared again even if the scan raises)."""
     u, v = uv
-    pid = state.pair_id(u, v)
-    if state.classes[pid] != OPEN:
-        raise ValueError(f"pair ({u},{v}) is {CLASS_NAMES[state.classes[pid]]}, not open")
+    cls = state.class_of(u, v)
+    if cls != OPEN:
+        raise ValueError(f"pair ({u},{v}) is {CLASS_NAMES[cls]}, not open")
     adj = state.graph.adj
     adj[u] |= 1 << v
     adj[v] |= 1 << u
@@ -304,6 +304,7 @@ def compute_O_F(state: ProcessState, f: Union[EdgeSetF, Iterable[int]]) -> set[i
     pids = f.pairs if isinstance(f, EdgeSetF) else f
     out: set[int] = set()
     for pid in pids:
-        if state.classes[pid] == OPEN:
-            out |= compute_C_uv(state, pair_from_index(pid, state.n))
+        uv = pair_from_index(pid, state.n)
+        if state.class_of(*uv) == OPEN:
+            out |= compute_C_uv(state, uv)
     return out

@@ -10,19 +10,15 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, pair_from_index
 from .patterns import count_automorphisms, count_embeddings, parse_pattern
 from .density import bounded_density_scan
 from .oracle import (naive_C_uv, naive_closed_set, naive_count_copies,
                      naive_is_maximal_free, naive_max_density)
-from .process import CLOSED, compute_C_uv, init_process, step
+from .process import compute_C_uv, init_process, step
 
 DEFAULT_CLOSURE_PATTERNS = ("C3", "C4")
 DEFAULT_COUNT_PATTERNS = ("C3", "C4", "C5", "K1,3")
-
-
-def closed_pid_set(state) -> set[int]:
-    return {pid for pid, c in enumerate(state.classes) if c == CLOSED}
 
 
 def verify_closure(n: int = 12, seeds: int = 5,
@@ -42,7 +38,7 @@ def verify_closure(n: int = 12, seeds: int = 5,
                 if mutate is not None:
                     mutate(state, state.step)
                 want = naive_closed_set(state.graph, pattern)
-                got = closed_pid_set(state)
+                got = state.closed_pair_ids()
                 if got != want:
                     mismatches.append(
                         f"closure mismatch: pattern={spec} n={n} seed={seed} "
@@ -75,7 +71,6 @@ def verify_cuv(n: int = 12, seeds: int = 5, samples: int = 3,
             if not pool:
                 continue
             for pid in rng.sample(pool, min(samples, len(pool))):
-                from .graphs import pair_from_index
                 uv = pair_from_index(pid, n)
                 got = compute_C_uv(state, uv)
                 want = naive_C_uv(state.graph, pattern, uv)

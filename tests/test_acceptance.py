@@ -22,7 +22,7 @@ from hfree.graphs import pair_from_index
 from hfree.harness import run_experiment
 from hfree.oracle import naive_C_uv, naive_closed_set, naive_is_maximal_free
 from hfree.patterns import parse_pattern
-from hfree.process import (CLOSED, EDGE, OPEN, EdgeSetF, Exhaustion,
+from hfree.process import (EDGE, OPEN, EdgeSetF, Exhaustion,
                            StepCount, compute_C_uv, compute_O_F, init_process,
                            iter_process, run_until, step)
 from hfree.theory import Constants, density_constants, step_horizon
@@ -40,7 +40,7 @@ def _closure_cell(args):
         st = init_process(n, pattern, seed)
         while not st.is_exhausted():
             step(st)
-            got = {pid for pid, c in enumerate(st.classes) if c == CLOSED}
+            got = st.closed_pair_ids()
             want = naive_closed_set(st.graph, pattern)
             if got != want:
                 mismatches.append((spec, n, seed, st.step))
@@ -68,6 +68,10 @@ def test_criterion_1_oracle_closure_equivalence():
 
 
 # ── criteria 2 + 3: C_uv / O_F equivalence and set identities ────────────
+
+def _class(st, pid):
+    return st.class_of(*pair_from_index(pid, st.n))
+
 
 def _mid_states(n=15, count=200):
     """(state, rng) pairs sampled mid-process: 50 seeds x 4 step fractions."""
@@ -109,7 +113,7 @@ def test_criterion_2_cuv_of_equivalence(mid_states):
         f = EdgeSetF(pairs=frozenset(rng.sample(all_pids, size)))
         want = set()
         for pid in f.pairs:
-            if st.classes[pid] == OPEN:
+            if _class(st, pid) == OPEN:
                 want |= naive_C_uv(st.graph, C3, pair_from_index(pid, n))
         assert compute_O_F(st, f) == want, (st.seed, st.step)
         checked_f += 1
@@ -126,7 +130,7 @@ def test_criterion_3_set_identities(mid_states):
     for st, rng in mid_states:
         all_pids = list(range(n * (n - 1) // 2))
         f = EdgeSetF(pairs=frozenset(rng.sample(all_pids, rng.randint(1, 10))))
-        open_pids = [pid for pid in f.pairs if st.classes[pid] == OPEN]
+        open_pids = [pid for pid in f.pairs if _class(st, pid) == OPEN]
         cuv = {pid: compute_C_uv(st, pair_from_index(pid, n)) for pid in open_pids}
         o_f = set()
         for s in cuv.values():
@@ -140,10 +144,11 @@ def test_criterion_3_set_identities(mid_states):
         assert len(o_f) >= total - pair_ix, (st.seed, st.step)
         inclusion_checks += 1
         # second F avoiding closed pairs exercises the open-count identity
-        not_closed = [pid for pid in all_pids if st.classes[pid] != CLOSED]
+        closed = st.closed_pair_ids()
+        not_closed = [pid for pid in all_pids if pid not in closed]
         f2 = frozenset(rng.sample(not_closed, min(8, len(not_closed))))
-        n_open = sum(1 for pid in f2 if st.classes[pid] == OPEN)
-        n_edge = sum(1 for pid in f2 if st.classes[pid] == EDGE)
+        n_open = sum(1 for pid in f2 if _class(st, pid) == OPEN)
+        n_edge = sum(1 for pid in f2 if _class(st, pid) == EDGE)
         assert n_open == len(f2) - n_edge
         open_identity_checks += 1
     print(f"\nACCEPTANCE 3 PASS: inclusion-exclusion bound held on "

@@ -5,8 +5,9 @@ import pytest
 from hfree.analysis import (baseline_uniform_process, check_key_inequality,
                             count_copies_at_m, default_checkpoints,
                             fit_edge_exponent, monitor_trajectory)
+from hfree.graphs import pair_from_index
 from hfree.patterns import parse_pattern
-from hfree.process import (CLOSED, EdgeSetF, Exhaustion, StepCount,
+from hfree.process import (EdgeSetF, Exhaustion, StepCount,
                            compute_O_F, init_process, iter_process, run_until)
 from hfree.theory import Constants
 
@@ -51,8 +52,17 @@ def test_monitor_sampling_does_not_perturb():
     assert a.rng.getstate() == b.rng.getstate()
 
 
+def _mark_edge_open(st):
+    """Move one open pair's mask bits onto an edge: the mask popcount still
+    matches the sampling array, but that edge now also reads as open."""
+    u, v = next(st.graph.edges())
+    a, b = pair_from_index(st.open_list[0], st.n)
+    for x, y in ((u, v), (v, u), (a, b), (b, a)):
+        st.open_nbr[x] ^= 1 << y
+
+
 @pytest.mark.parametrize("corrupt,message", [
-    (lambda st: st.classes.__setitem__(st.open_list[0], CLOSED), "classed open"),
+    (_mark_edge_open, "both an edge and open"),
     (lambda st: st.open_nbr.__setitem__(0, st.open_nbr[0] ^ 2), "open-neighbour"),
 ])
 def test_checkpoint_rejects_inconsistent_state(corrupt, message):

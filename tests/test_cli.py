@@ -67,14 +67,12 @@ def test_verify_cli_failure_path(capsys, monkeypatch):
 
 def test_verify_library_detects_corruption():
     from hfree.graphs import pair_from_index
-    from hfree.process import CLOSED, OPEN
 
     def corrupt(state, step_no):
+        # retire the lowest open pair that nothing closed: it reads as closed
         if step_no == 3:
-            for pid, c in enumerate(state.classes):
-                if c == OPEN:
-                    state._retire({pid: pair_from_index(pid, state.n)}, CLOSED)
-                    break
+            pid = min(state.open_pair_ids())
+            state._retire({pid: pair_from_index(pid, state.n)})
 
     mismatches = verify_closure(n=8, seeds=1, patterns=("C3",), mutate=corrupt)
     assert mismatches and "closure mismatch" in mismatches[0]

@@ -3,11 +3,14 @@ import io
 import random
 from collections import Counter
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from hfree.graphs import pair_count, pair_from_index, pair_index, write_edge_list
 from hfree.oracle import naive_C_uv, naive_closed_set, naive_is_maximal_free
-from hfree.patterns import contains_copy, parse_pattern
+from hfree.patterns import (Pattern, contains_copy, parse_pattern,
+                            validate_as_constraint)
 from hfree.process import (CLOSED, EDGE, OPEN, EdgeSetF, Exhaustion, Horizon,
                            StepCount, compute_C_uv, compute_O_F, init_process,
                            iter_process, newly_closed_after, run_until, step)
@@ -22,22 +25,20 @@ def step_records(state, stop):
             for st in iter_process(state, stop)]
 
 
-def closed_pids(state):
-    return {pid for pid, c in enumerate(state.classes) if c == CLOSED}
-
-
 def force_edge(state, u, v):
     """Add uv as an edge by hand, keeping the bookkeeping but closing
     nothing."""
-    state._retire({state.pair_id(u, v): (u, v)}, EDGE)
+    state._retire({pair_index(u, v, state.n): (u, v)})
     state.graph.add_edge(u, v)
 
 
-def assert_open_masks_match_classes(state):
-    for u in range(state.n):
-        want = sum(1 << v for v in range(state.n)
-                   if v != u and state.class_of(u, v) == OPEN)
-        assert state.open_nbr[u] == want, u
+def assert_open_masks_match_open_list(state):
+    want = [0] * state.n
+    for pid in state.open_list:
+        u, v = pair_from_index(pid, state.n)
+        want[u] |= 1 << v
+        want[v] |= 1 << u
+    assert state.open_nbr == want
 
 
 def test_init_all_open():
@@ -93,7 +94,7 @@ def test_newly_closed_path():
     st = init_process(3, C3, 0)
     force_edge(st, 0, 1)
     force_edge(st, 1, 2)
-    assert newly_closed_after(st, (1, 2)) == {st.pair_id(0, 2)}
+    assert newly_closed_after(st, (1, 2)) == {pair_index(0, 2, 3)}
 
 
 def test_newly_closed_first_edge_empty():
@@ -107,7 +108,7 @@ def test_newly_closed_c5_path():
     st = init_process(5, C5, 0)
     for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4)]:
         force_edge(st, u, v)
-    assert newly_closed_after(st, (3, 4)) == {st.pair_id(0, 4)}
+    assert newly_closed_after(st, (3, 4)) == {pair_index(0, 4, 5)}
 
 
 # K2,3 is the one pattern here with a plan whose last position is not an
@@ -120,14 +121,47 @@ def test_incremental_classes_match_oracle(spec, n, seed):
     st = init_process(n, pattern, seed)
     while not st.is_exhausted():
         step(st)
-        assert closed_pids(st) == naive_closed_set(st.graph, pattern)
-        assert_open_masks_match_classes(st)
+        assert st.closed_pair_ids() == naive_closed_set(st.graph, pattern)
+        assert_open_masks_match_open_list(st)
         # partition invariant
-        counts = Counter(st.classes)
+        counts = Counter(st.class_of(u, v) for u in range(n) for v in range(u + 1, n))
         assert counts[EDGE] == st.step
-        assert counts[OPEN] + counts[EDGE] + counts[CLOSED] == pair_count(n)
+        assert counts[OPEN] == st.open_count()
+        assert counts[CLOSED] == st.closed_count()
         assert not contains_copy(pattern, st.graph)
     assert naive_is_maximal_free(st.graph, pattern)
+
+
+def _constraint_patterns(max_n=6):
+    """Every connected strictly 2-balanced graph on at most ``max_n``
+    vertices (25 of them for 6), from the networkx graph atlas."""
+    out = []
+    for g in nx.graph_atlas_g():
+        if 0 < g.number_of_nodes() <= max_n:
+            p = Pattern(g.number_of_nodes(), list(g.edges()))
+            try:
+                validate_as_constraint(p)
+            except ValueError:
+                continue
+            out.append(p)
+    return out
+
+
+CONSTRAINT_PATTERNS = _constraint_patterns()
+
+
+def test_constraint_pattern_census():
+    assert len(CONSTRAINT_PATTERNS) == 25
+
+
+@given(hs.sampled_from(CONSTRAINT_PATTERNS), hs.integers(7, 9),
+       hs.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_closed_set_matches_oracle_property(pattern, n, seed):
+    st = init_process(n, pattern, seed)
+    while not st.is_exhausted():
+        step(st)
+        assert st.closed_pair_ids() == naive_closed_set(st.graph, pattern), st.step
 
 
 def test_closed_monotone_along_run():
@@ -135,7 +169,7 @@ def test_closed_monotone_along_run():
     prev = set()
     while not st.is_exhausted():
         step(st)
-        cur = closed_pids(st)
+        cur = st.closed_pair_ids()
         assert prev <= cur
         prev = cur
 
@@ -149,14 +183,12 @@ def test_closure_trigger():
         probes = rng.sample(pool, min(4, len(pool)))
         cuv = {pid: compute_C_uv(st, pair_from_index(pid, st.n)) for pid in probes}
         chosen = step(st)
-        chosen_pid = st.pair_id(*chosen)
+        chosen_pid = pair_index(*chosen, st.n)
+        closed = st.closed_pair_ids()
         for pid, cset in cuv.items():
             if pid == chosen_pid:
                 continue
-            if chosen_pid in cset:
-                assert st.classes[pid] == CLOSED
-            else:
-                assert st.classes[pid] != CLOSED
+            assert (pid in closed) == (chosen_pid in cset)
         if st.is_exhausted():
             break
 
@@ -164,7 +196,7 @@ def test_closure_trigger():
 def test_compute_C_uv_examples():
     st = init_process(4, C3, 0)
     force_edge(st, 0, 1)
-    assert compute_C_uv(st, (0, 2)) == {st.pair_id(1, 2)}
+    assert compute_C_uv(st, (0, 2)) == {pair_index(1, 2, 4)}
     fresh = init_process(5, C3, 0)
     assert compute_C_uv(fresh, (0, 3)) == set()
     with pytest.raises(ValueError):
@@ -247,7 +279,7 @@ def test_last_step_records():
     assert [r[0] for r in records] == [1, 2, 3, 4]
     for _, pid, closed in records:
         assert 0 <= pid < pair_count(8)
-        assert st.classes[pid] == EDGE
+        assert st.class_of(*pair_from_index(pid, 8)) == EDGE
         assert closed >= 0
     assert st.closed_count() == sum(r[2] for r in records)
 
