@@ -19,14 +19,6 @@ from .process import (EdgeSetF, Horizon, ProcessState, compute_C_uv,
                       init_process, run_until, OPEN, EDGE, CLOSED)
 from .theory import Constants, open_fraction
 
-__all__ = [
-    "CheckpointRecord", "TrajectoryStats", "monitor_trajectory",
-    "count_copies_at_m", "baseline_uniform_process",
-    "check_key_inequality", "KeyInequalityRecord",
-    "fit_edge_exponent", "ExponentFit",
-]
-
-
 # ── trajectory monitors ──────────────────────────────────────────────────
 
 @dataclass
@@ -84,19 +76,17 @@ def monitor_trajectory(states: Iterator[ProcessState], constants: Constants,
     never perturbs it.  Checkpoints beyond the stream's lifetime are
     reported as notices, not errors.
     """
-    marks = sorted(set(checkpoints))
+    marks = set(checkpoints)
     stats = TrajectoryStats()
     srng = random.Random(sample_seed)
     n2p = constants.n * constants.n * constants.p
-    reached = set()
-    for state in states:
-        if state.step in marks and state.step not in reached:
-            reached.add(state.step)
+    for state in states:               # each step is yielded once
+        if state.step in marks:
             stats.records.append(_checkpoint(state, constants, cuv_samples,
                                              intersection_samples, srng, n2p))
-    for m in marks:
-        if m not in reached:
-            stats.notices.append(f"checkpoint {m} beyond process lifetime; skipped")
+    reached = {rec.step for rec in stats.records}
+    stats.notices = [f"checkpoint {m} beyond process lifetime; skipped"
+                     for m in sorted(marks - reached)]
     return stats
 
 

@@ -20,9 +20,9 @@ from typing import Iterator, Optional, TextIO
 from . import __version__
 from .analysis import default_checkpoints, monitor_trajectory
 from .config import ExperimentConfig, parse_config
-from .density import bounded_density_scan
+from .density import EXACT_CAP_LIMIT, bounded_density_scan
 from .graphs import write_edge_list
-from .patterns import contains_copy, parse_pattern
+from .patterns import contains_copy, parse_pattern, validate_as_constraint
 from .process import (Exhaustion, Horizon, ProcessState, RNG_ID, StepCount,
                       init_process, iter_process)
 from .theory import Constants, LOG_CONVENTION
@@ -180,7 +180,15 @@ class RunResult:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
                    workers: Optional[int] = None) -> RunResult:
+    """Run every trial of ``cfg`` into ``out_dir``.  A config that would
+    fail every trial raises ValueError before anything is written."""
     cfg.validate()
+    validate_as_constraint(parse_pattern(cfg.pattern))
+    for spec in cfg.copy_patterns:
+        parse_pattern(spec)
+    if cfg.density_mode == "exact" and cfg.density_k > EXACT_CAP_LIMIT:
+        raise ValueError(f"density_k = {cfg.density_k}: exact mode limited to "
+                         f"caps <= {EXACT_CAP_LIMIT}")
     os.makedirs(out_dir, exist_ok=True)
     existing = [f for f in os.listdir(out_dir) if not f.startswith(".")]
     if existing and not force:

@@ -4,8 +4,9 @@ Everything here recomputes definitions directly: containment checks walk
 pattern vertices in fixed index order over set-based adjacency (no bitset
 intersections, no precompiled templates), densities come from explicit
 subset enumeration.  The one symmetry used: a copy through a host edge
-needs only one pattern arc per automorphism orbit as the edge's preimage,
-with the automorphisms found here as the copies of the pattern in itself.
+needs only one pattern arc per automorphism orbit as the edge's preimage.
+The automorphisms, which also give aut(p) for copy counting, are found
+here as the copies of the pattern in itself.
 Size limits are hard errors -- an oracle must never silently approximate.
 
 These ship in the production package so the `verify` CLI can run fast-vs-
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterator, Optional
 
 from .graphs import SimpleGraph, pair_index
@@ -62,10 +63,18 @@ def _extensions(p: Pattern, adj: list[set[int]],
 
 
 @lru_cache(maxsize=None)
+def _automorphisms(p: Pattern) -> tuple[tuple[int, ...], ...]:
+    """Aut(p) as vertex-image tuples: the copies of ``p`` in its own
+    adjacency, since an injective homomorphism of a graph into itself is
+    an automorphism."""
+    return tuple(tuple(img[v] for v in range(p.n))
+                 for img in _extensions(p, _adj_sets(p.to_graph()), {}))
+
+
+@lru_cache(maxsize=None)
 def _arc_orbit_reps(p: Pattern) -> tuple[tuple[int, int], ...]:
-    """One ordered edge (arc) of ``p`` per orbit of Aut(p) on arcs.  The
-    automorphisms are the embeddings of ``p`` into its own adjacency."""
-    auts = [dict(img) for img in _extensions(p, _adj_sets(p.to_graph()), {})]
+    """One ordered edge (arc) of ``p`` per orbit of Aut(p) on arcs."""
+    auts = _automorphisms(p)
     reps, seen = [], set()
     for a, b in p.edges:
         for arc in ((a, b), (b, a)):
@@ -207,18 +216,13 @@ def naive_max_density(g: SimpleGraph, size_cap: Optional[int] = None,
 
 def naive_count_copies(p: Pattern, g: SimpleGraph) -> int:
     """Number of distinct copies of ``p`` in ``g``: labeled embeddings
-    counted by fixed-order extension, divided by aut(p) computed here by
-    full permutation scan."""
+    counted by fixed-order extension, divided by aut(p), the number of
+    copies of ``p`` in itself."""
     _check_host(g)
     if p.n > COPY_PATTERN_LIMIT:
         raise ValueError(f"copy counting limited to patterns on {COPY_PATTERN_LIMIT} vertices")
     labeled = sum(1 for _ in _extensions(p, _adj_sets(g), {}))
-    aut = 0
-    padj = _adj_sets(p.to_graph())
-    for perm in permutations(range(p.n)):
-        if all((perm[b] in padj[perm[a]]) == (b in padj[a])
-               for a in range(p.n) for b in range(a + 1, p.n)):
-            aut += 1
+    aut = len(_automorphisms(p))
     if labeled % aut:
         raise RuntimeError(
             f"{labeled} labeled copies of {p.name} is not a multiple of "

@@ -5,6 +5,8 @@ A Pattern is an immutable small graph used either as the forbidden graph of
 the constrained process (must be connected and strictly 2-balanced) or as a
 target subgraph for counting (arbitrary simple graph).  All densities are
 exact `Fraction`s so strict inequalities are never blurred by floats.
+Automorphisms are the embeddings of a pattern into its own graph, so the
+one plan executor, ``_run_plan``, answers every search question here.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ class Pattern:
             self.adj[v] |= 1 << u
         self.degrees = [a.bit_count() for a in self.adj]
         self._aut: Optional[int] = None
-        self._aut_list: Optional[list[tuple[int, ...]]] = None
         self._templates: Optional[list["ClosureTemplate"]] = None
 
     @property
@@ -147,66 +148,14 @@ def validate_as_constraint(p: Pattern) -> None:
 
 # ── automorphisms ────────────────────────────────────────────────────────
 
-def _automorphism_backtrack(p: Pattern, collect: Optional[list] = None,
-                            limit: Optional[int] = None) -> int:
-    """Count (and optionally collect) automorphisms by backtracking with
-    degree pruning.  Returns the count."""
-    n = p.n
-    adj = p.adj
-    deg = p.degrees
-    # order vertices by (degree, index) descending degree for early pruning
-    order = sorted(range(n), key=lambda v: (-deg[v], v))
-    img = [-1] * n
-    used = [False] * n
-    count = 0
-
-    def place(i: int) -> None:
-        nonlocal count
-        if i == n:
-            count += 1
-            if collect is not None:
-                collect.append(tuple(img))
-                if limit is not None and count > limit:
-                    raise OverflowError("automorphism list limit exceeded")
-            return
-        v = order[i]
-        for w in range(n):
-            if used[w] or deg[w] != deg[v]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if ((adj[v] >> u) & 1) != ((adj[w] >> img[u]) & 1):
-                    ok = False
-                    break
-            if ok:
-                img[v] = w
-                used[w] = True
-                place(i + 1)
-                used[w] = False
-                img[v] = -1
-
-    place(0)
-    return count
-
-
 def count_automorphisms(p: Pattern) -> int:
+    """aut(p), counted as the embeddings of ``p`` into its own graph: an
+    injective homomorphism of a finite graph into itself is an automorphism."""
     if p.n > AUT_VERTEX_LIMIT:
         raise ValueError(f"automorphism counting limited to {AUT_VERTEX_LIMIT} vertices")
     if p._aut is None:
-        p._aut = _automorphism_backtrack(p)
+        p._aut = count_embeddings(p, p.to_graph())
     return p._aut
-
-
-def automorphism_list(p: Pattern) -> list[tuple[int, ...]]:
-    """All automorphisms as vertex-image tuples (used for edge orbits)."""
-    if p._aut_list is None:
-        if count_automorphisms(p) > AUT_LIST_LIMIT:
-            raise ValueError(f"{p.name}: too many automorphisms to list")
-        perms: list[tuple[int, ...]] = []
-        _automorphism_backtrack(p, collect=perms, limit=AUT_LIST_LIMIT)
-        p._aut_list = perms
-    return p._aut_list
 
 
 # ── density functionals ──────────────────────────────────────────────────
@@ -369,8 +318,11 @@ class ClosureTemplate:
     """One edge-orbit of the forbidden graph H: the pattern H minus a
     representative edge f, the roles of f's endpoints (the pair that a
     matching embedding would close), and the base-edge roles that need to
-    be anchored at a newly added host edge (one per orbit of base edges
-    under the automorphisms of the base stabilizing the missing pair)."""
+    be anchored at a newly added host edge: one per orbit of base edges
+    under the stabiliser of f in Aut(H).  That stabiliser is also the
+    stabiliser of the pair {f0, f1} in Aut(H - f): an automorphism of H
+    fixing f maps E(H) - f onto itself, and an automorphism of H - f fixing
+    {f0, f1} maps E(H - f) + f onto itself."""
 
     __slots__ = ("base", "missing_pair", "anchor_roles", "_plans")
 
@@ -396,41 +348,39 @@ class ClosureTemplate:
             self._plans.append((_compile_plan(base, order), mp, leaf_other))
 
 
-def _edge_orbits(p: Pattern, perms: list[tuple[int, ...]],
+def _edge_orbits(perms: list[tuple[int, ...]],
                  edges: Sequence[tuple[int, int]]) -> list[list[int]]:
-    orbit_of = {}
-    orbits: list[list[int]] = []
+    """The orbits of ``perms`` on ``edges``, as sorted edge indices, in
+    order of their smallest index."""
     index_of = {e: i for i, e in enumerate(edges)}
+    orbits: list[list[int]] = []
+    seen: set[int] = set()
     for i, (u, v) in enumerate(edges):
-        if i in orbit_of:
-            continue
-        orbit = set()
-        for perm in perms:
-            e2 = (min(perm[u], perm[v]), max(perm[u], perm[v]))
-            orbit.add(index_of[e2])
-        orbits.append(sorted(orbit))
-        for j in orbit:
-            orbit_of[j] = len(orbits) - 1
+        if i not in seen:
+            images = {(min(perm[u], perm[v]), max(perm[u], perm[v])) for perm in perms}
+            orbits.append(sorted(index_of[e] for e in images))
+            seen.update(orbits[-1])
     return orbits
 
 
 def closure_templates(p: Pattern) -> list[ClosureTemplate]:
     """Templates for incremental closure detection, one per orbit of edges
-    of ``p`` under its automorphism group."""
+    of ``p`` under its automorphism group, which is listed once."""
     validate_as_constraint(p)
     if p._templates is not None:
         return p._templates
-    perms = automorphism_list(p)
+    if count_automorphisms(p) > AUT_LIST_LIMIT:
+        raise ValueError(f"{p.name}: too many automorphisms to list")
+    perms = list(enumerate_embeddings(p, p.to_graph()))
     templates = []
-    for orbit in _edge_orbits(p, perms, p.edges):
+    for orbit in _edge_orbits(perms, p.edges):
         f = p.edges[orbit[0]]
         base_edges = [e for i, e in enumerate(p.edges) if i != orbit[0]]
         base = Pattern(p.n, base_edges, name=f"{p.name}-minus-{f}")
         if not base.is_connected():
             raise ValueError(f"{p.name}: template base unexpectedly disconnected")
-        stab = [perm for perm in automorphism_list(base)
-                if {perm[f[0]], perm[f[1]]} == {f[0], f[1]}]
-        base_orbits = _edge_orbits(base, stab, base.edges)
+        stab = [perm for perm in perms if {perm[f[0]], perm[f[1]]} == {f[0], f[1]}]
+        base_orbits = _edge_orbits(stab, base.edges)
         anchor_roles = tuple(orb[0] for orb in base_orbits)
         templates.append(ClosureTemplate(base, f, anchor_roles))
     p._templates = templates

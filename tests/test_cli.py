@@ -5,6 +5,7 @@ import pytest
 from hfree import cli, density
 from hfree.config import ExperimentConfig
 from hfree.graphs import write_edge_list
+from hfree.harness import run_experiment
 from hfree.patterns import parse_pattern
 from hfree.process import Exhaustion, init_process, run_until
 from hfree.theory import Constants
@@ -101,6 +102,24 @@ def test_simulate_partial_failure_exit(tmp_path, capsys):
                            "--out", str(tmp_path / "out"))
     assert code == cli.EXIT_PARTIAL_FAILURE
     assert "FAILED" in err
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"density_k": 13}, "exact mode limited"),
+    ({"pattern": "K1,3"}, "strictly 2-balanced"),
+    ({"copy_patterns": ["C2"]}, "cycle spec"),
+], ids=["exact-density-cap", "invalid-forbidden-pattern", "bad-copy-pattern"])
+def test_simulate_run_level_error_fails_fast(tmp_path, capsys, fields, message):
+    # an error that would fail every trial stops the run before any output
+    cfg = ExperimentConfig(**{"pattern": "C3", "n_values": [12], "trials": 2, **fields})
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg, str(tmp_path / "direct"))
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(cfg.to_text())
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                           "--out", str(tmp_path / "out"))
+    assert code == cli.EXIT_USAGE and message in err
+    assert not (tmp_path / "direct").exists() and not (tmp_path / "out").exists()
 
 
 def test_analyze_missing_dir(tmp_path, capsys):

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import permutations
 
+import networkx
 import pytest
 
 from hfree.graphs import SimpleGraph
-from hfree.oracle import naive_count_copies
+from hfree.oracle import _automorphisms, naive_count_copies
 from hfree.patterns import (Pattern, closure_templates, contains_copy,
                             count_automorphisms, count_embeddings,
                             enumerate_embeddings, is_strictly_two_balanced,
@@ -65,6 +67,50 @@ def test_aut_divides_factorial():
     for spec in ("C6", "K2,4", "edges: 1-2,2-3,1-3,3-4"):
         p = parse_pattern(spec)
         assert math.factorial(p.n) % count_automorphisms(p) == 0
+
+
+def _permutation_scan(p):
+    """Aut(p) by definition: the vertex permutations mapping E(p) onto itself."""
+    edges = set(p.edges)
+    return {perm for perm in permutations(range(p.n))
+            if {(min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in p.edges} == edges}
+
+
+def _orbit_reps(perms, edges):
+    """Index of the first edge of each orbit of ``perms`` on ``edges``."""
+    reps, seen = [], set()
+    for i, (a, b) in enumerate(edges):
+        if i not in seen:
+            reps.append(i)
+            seen |= {edges.index((min(s[a], s[b]), max(s[a], s[b]))) for s in perms}
+    return reps
+
+
+def test_automorphisms_match_permutation_scan():
+    constraints = 0
+    for g in networkx.graph_atlas_g():
+        if not 1 <= g.number_of_nodes() <= 6:
+            continue
+        p = Pattern(g.number_of_nodes(), list(g.edges()))
+        want = _permutation_scan(p)
+        assert count_automorphisms(p) == len(want), p
+        # the automorphism list closure_templates takes its orbits from
+        assert set(enumerate_embeddings(p, p.to_graph())) == want, p
+        assert set(_automorphisms(p)) == want, p
+        try:
+            validate_as_constraint(p)
+        except ValueError:
+            continue
+        constraints += 1
+        templates = closure_templates(p)
+        assert [t.missing_pair for t in templates] == [p.edges[i] for i in
+                                                       _orbit_reps(want, p.edges)]
+        for t in templates:
+            # anchor roles: orbits of Aut(H - f) fixing the missing pair {f0, f1}
+            f = set(t.missing_pair)
+            stab = [s for s in _permutation_scan(t.base) if {s[v] for v in f} == f]
+            assert list(t.anchor_roles) == _orbit_reps(stab, t.base.edges)
+    assert constraints == 25
 
 
 # ── densities ────────────────────────────────────────────────────────────
@@ -190,6 +236,94 @@ def test_two_orbit_template():
                     (0, 4), (1, 4), (2, 4), (3, 4)], name="K2,2,1")
     assert is_strictly_two_balanced(p)
     assert len(closure_templates(p)) == 2
+
+
+# (base edges, missing pair, anchor roles, compiled plans) per template;
+# pinned so that how Aut(H) is found cannot move the process's closure scan
+GOLDEN_TEMPLATES = {'C3': [(((0, 2), (1, 2)), (0, 1), (0,), [(((), (0,), (1,)), (0, 2), 0)])],
+                    'C4': [(((0, 3), (1, 2), (2, 3)),
+                            (0, 1),
+                            (0, 2),
+                            [(((), (0,), (1,), (2,)), (0, 3), 0),
+                             (((), (0,), (1,), (0,)), (2, 3), 2)])],
+                    'C5': [(((0, 4), (1, 2), (2, 3), (3, 4)),
+                            (0, 1),
+                            (0, 2),
+                            [(((), (0,), (1,), (2,), (3,)), (0, 4), 0),
+                             (((), (0,), (1,), (2,), (0,)), (3, 4), 3)])],
+                    'C6': [(((0, 5), (1, 2), (2, 3), (3, 4), (4, 5)),
+                            (0, 1),
+                            (0, 2, 3),
+                            [(((), (0,), (1,), (2,), (3,), (4,)), (0, 5), 0),
+                             (((), (0,), (1,), (2,), (3,), (0,)), (4, 5), 4),
+                             (((), (0,), (0,), (1,), (3,), (2,)), (4, 5), 4)])],
+                    'C7': [(((0, 6), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)),
+                            (0, 1),
+                            (0, 2, 3),
+                            [(((), (0,), (1,), (2,), (3,), (4,), (5,)), (0, 6), 0),
+                             (((), (0,), (1,), (2,), (3,), (4,), (0,)), (5, 6), 5),
+                             (((), (0,), (0,), (1,), (3,), (4,), (2,)), (5, 6), 5)])],
+                    'K4': [(((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+                            (0, 1),
+                            (0, 4),
+                            [(((), (0,), (0, 1), (1, 2)), (0, 3), 0),
+                             (((), (0,), (0, 1), (0, 1)), (2, 3), 2)])],
+                    'K5': [(((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)),
+                            (0, 1),
+                            (0, 6),
+                            [(((), (0,), (0, 1), (0, 1, 2), (1, 2, 3)), (0, 4), 0),
+                             (((), (0,), (0, 1), (0, 1, 2), (0, 1, 2)), (3, 4), 3)])],
+                    'K2,3': [(((0, 3), (0, 4), (1, 2), (1, 3), (1, 4)),
+                              (0, 2),
+                              (0, 2, 3),
+                              [(((), (0,), (1,), (0, 2), (2,)), (0, 4), 0),
+                               (((), (0,), (0,), (2,), (3, 0)), (3, 1), -1),
+                               (((), (0,), (1,), (2, 0), (0,)), (2, 4), 2)])],
+                    'K3,3': [(((0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)),
+                              (0, 3),
+                              (0, 3),
+                              [(((), (0,), (1,), (0, 2), (1, 3), (2, 4)), (0, 5), 0),
+                               (((), (0,), (1,), (0, 2), (1, 3), (0, 2)), (4, 5), 4)])],
+                    'K3,4': [(((0, 4),
+                               (0, 5),
+                               (0, 6),
+                               (1, 3),
+                               (1, 4),
+                               (1, 5),
+                               (1, 6),
+                               (2, 3),
+                               (2, 4),
+                               (2, 5),
+                               (2, 6)),
+                              (0, 3),
+                              (0, 3, 4),
+                              [(((), (0,), (1,), (0, 2), (1, 3), (0, 2, 4), (2, 4)), (0, 6), 0),
+                               (((), (0,), (1,), (0, 2), (0, 2), (3, 4), (5, 0, 2)), (5, 1), -1),
+                               (((), (0,), (1,), (0, 2), (1, 3), (4, 0, 2), (0, 2)), (4, 6), 4)])],
+                    'Q3': [(((0, 2),
+                             (0, 4),
+                             (1, 3),
+                             (1, 5),
+                             (2, 3),
+                             (2, 6),
+                             (3, 7),
+                             (4, 5),
+                             (4, 6),
+                             (5, 7),
+                             (6, 7)),
+                            (0, 1),
+                            (0, 4, 5, 10),
+                            [(((), (0,), (1,), (0,), (1, 3), (2, 4), (3, 5), (2, 6)), (0, 7), 0),
+                             (((), (0,), (0,), (1, 2), (2,), (4, 3), (0, 4), (1, 5)), (6, 7), 6),
+                             (((), (0,), (0,), (2, 1), (1,), (4, 3), (0, 4), (2, 5)), (6, 7), 6),
+                             (((), (0,), (0,), (2, 1), (0,), (4, 1), (2, 4), (3, 5)), (6, 7), 6)])]}
+
+
+@pytest.mark.parametrize("spec", list(GOLDEN_TEMPLATES))
+def test_golden_closure_templates(spec):
+    got = [(t.base.edges, t.missing_pair, t.anchor_roles, t._plans)
+           for t in closure_templates(parse_pattern(spec))]
+    assert got == GOLDEN_TEMPLATES[spec]
 
 
 def test_templates_reject_invalid():
