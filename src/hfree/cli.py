@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--threshold", type=float, default=None,
                        help="also report the e(A) < c|A| check at this c")
     p_den.add_argument("--pattern", default="C3",
-                       help="forbidden pattern (checked only; the scan ignores it)")
+                       help="forbidden pattern: on a host free of it, the exact "
+                            "scan caps each size s <= 7 at ex(s, H)")
     return parser
 
 
@@ -139,8 +140,9 @@ def cmd_density(args) -> int:
     with open(args.graph) as fh:
         g = read_edge_list(fh)
     budget = args.budget if args.budget > 0 else None
-    parse_pattern(args.pattern)
-    report = bounded_density_scan(g, args.k, mode=args.mode, node_budget=budget)
+    pattern = parse_pattern(args.pattern)
+    report = bounded_density_scan(g, args.k, mode=args.mode, node_budget=budget,
+                                  pattern=pattern)
     print(json.dumps(report.as_row(), sort_keys=True))
     if args.threshold is not None:
         check = verify_density_bound(g, None,

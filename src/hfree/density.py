@@ -11,8 +11,14 @@ for a partial set A with room for r more vertices is
     candidates) + UB(r)
 
 where UB(r) is a sound upper bound on the edges among any r host vertices,
-derived from the already-settled smaller sizes plus a host-level ceiling
-(Mantel's n^2/4 when the host is verified triangle-free).  Warm starts come
+derived from the already-settled smaller sizes plus a host-level ceiling:
+Mantel's s^2/4 when the host is verified triangle-free, and, when the scan
+is given the forbidden pattern H, the extremal number ex(s, H) for s <= 7
+from a small table.  The table is used only after `contains_copy` shows
+the host is H-free, so a host that holds a copy is scanned exactly as
+without the pattern.  Its rows (C4, C5, K4, K2,3, K3,3) are the maxima
+over all graphs on s vertices in the networkx graph atlas, and the tests
+recompute every entry from the atlas.  Warm starts come
 from a beam search over complete-bipartite pockets and a randomized greedy
 + swap local search; in triangle-free hosts the pockets frequently reach
 the ceiling outright, which ends that size's search immediately.
@@ -32,15 +38,28 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .graphs import SimpleGraph, iter_bits
+from .patterns import Pattern, contains_copy, parse_pattern
 
 EXACT_CAP_LIMIT = 12
 POCKET_BEAM = 6          # children kept per pocket in the warm start's beam
 WARM_RESTARTS = 24       # randomized greedy growths after the pockets
+
+# ex(s, H) for s = 1..7: the most edges on s vertices without a copy of H,
+# taken over every graph in the networkx graph atlas (all graphs on at most
+# 7 vertices).  C3 has no row: Mantel's bound comes from is_triangle_free.
+EXTREMAL_ROWS = {
+    "C4": (0, 1, 3, 4, 6, 7, 9),
+    "C5": (0, 1, 3, 6, 7, 9, 12),
+    "K4": (0, 1, 3, 5, 8, 12, 16),
+    "K2,3": (0, 1, 3, 6, 7, 10, 12),
+    "K3,3": (0, 1, 3, 6, 10, 12, 16),
+}
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -58,9 +77,13 @@ class DensityReport:
     nodes_explored: int = 0
     max_edges_by_size: dict = field(default_factory=dict)
     # per size: which stage proved the max ("warm" | "anchor" | "bnb"), and
-    # the branch-and-bound nodes spent on it; neither goes into as_row()
+    # the branch-and-bound nodes spent on it
     settled_by: dict[int, str] = field(default_factory=dict)
     nodes_by_size: dict[int, int] = field(default_factory=dict)
+    # budget units of the anchor pass (anchor tuples and row sets); a node
+    # budget covers nodes_explored + anchor_units.  None of the last three
+    # fields goes into as_row().
+    anchor_units: int = 0
 
     def as_row(self) -> dict:
         return {
@@ -84,6 +107,18 @@ def is_triangle_free(g: SimpleGraph) -> bool:
             if v > u and mu & adj[v]:
                 return False
     return True
+
+
+def extremal_row(p: Pattern) -> Optional[tuple[int, ...]]:
+    """ex(s, p) for s = 1..7 from EXTREMAL_ROWS, or None without a row.  A
+    row matches by isomorphism: same vertex and edge counts, and the row's
+    pattern embeds in p."""
+    g = p.to_graph()
+    for spec, row in EXTREMAL_ROWS.items():
+        q = parse_pattern(spec)
+        if q.n == p.n and q.edge_count == p.edge_count and contains_copy(q, g):
+            return row
+    return None
 
 
 # ── warm starts ──────────────────────────────────────────────────────────
@@ -488,8 +523,7 @@ def _degeneracy_rank(g: SimpleGraph) -> list[int]:
 
 def _max_edges_connected(g: SimpleGraph, sigma: int, warm_e: int,
                          warm_wit: tuple[int, ...], ub_small: list[int],
-                         ceiling: int, rank: list[int],
-                         budget: Optional[list[int]],
+                         ceiling: int, rank: list[int], budget: list[int],
                          ) -> tuple[int, tuple[int, ...], int]:
     """Exact max edge count over connected sigma-sets (>= warm), with the
     warm witness kept when nothing beats it.  Returns (e, witness, nodes)."""
@@ -506,11 +540,9 @@ def _max_edges_connected(g: SimpleGraph, sigma: int, warm_e: int,
                ext: list[int], root_rank: int) -> bool:
         nonlocal best, best_wit, nodes
         nodes += 1
-        if budget is not None:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise SearchBudgetExceeded(
-                    f"node budget exhausted at size {sigma}")
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise SearchBudgetExceeded(f"node budget exhausted at size {sigma}")
         a = len(cur)
         if a == sigma:
             if e_cur > best:
@@ -562,10 +594,14 @@ def _check_witness(g: SimpleGraph, density: Fraction,
 def exact_bounded_scan(g: SimpleGraph, k: int,
                        node_budget: Optional[int] = None,
                        warm_seed: int = 0,
+                       pattern: Optional[Pattern] = None,
                        ) -> DensityReport:
     """Exact max of e(A)/|A| over |A| <= k, with witness and optimality
     proof.  Raises SearchBudgetExceeded if a node budget is given and the
-    proof would need more search."""
+    proof would need more search; the budget covers the report's
+    nodes_explored + anchor_units, so that sum always suffices.  With the
+    forbidden ``pattern`` of an H-free host, each size s <= 7 is also
+    capped at ex(s, H) where EXTREMAL_ROWS has H."""
     if k < 1:
         raise ValueError("size cap must be >= 1")
     if k > EXACT_CAP_LIMIT:
@@ -573,10 +609,19 @@ def exact_bounded_scan(g: SimpleGraph, k: int,
     n = g.n
     cap = min(k, n)
     tri_free = is_triangle_free(g)
-    ceiling = (lambda s: (s * s) // 4) if tri_free else (lambda s: s * (s - 1) // 2)
+    ex_row = extremal_row(pattern) if pattern is not None else None
+    if ex_row is not None and contains_copy(pattern, g):
+        ex_row = None           # ex(s, H) bounds only H-free hosts
+
+    def ceiling(s: int) -> int:
+        c = (s * s) // 4 if tri_free else s * (s - 1) // 2
+        return min(c, ex_row[s - 1]) if ex_row and s <= len(ex_row) else c
+
     rank = _degeneracy_rank(g)
     warm = local_search_warm(g, cap, seed=warm_seed)
-    budget = [node_budget] if node_budget is not None else None
+    # anchor units and B&B nodes draw on one budget; without a node budget
+    # it only counts
+    budget = [sys.maxsize if node_budget is None else node_budget]
 
     econn = {1: 0}
     wits = {1: warm.get(1, (0, (0,)))[1]}
@@ -584,6 +629,7 @@ def exact_bounded_scan(g: SimpleGraph, k: int,
     nodes_by_size = {1: 0}
     ub_small = [0, 0]  # UB(r): sound upper bound on edges among any r vertices
     total_nodes = 0
+    anchor_units = 0
     bip_results: dict[int, tuple[int, tuple[int, ...]]] = {}
     if tri_free and cap >= 5:
         # any set beating the non-bipartite ceiling induces a bipartite
@@ -591,7 +637,9 @@ def exact_bounded_scan(g: SimpleGraph, k: int,
         floors = {sigma: max(_nonbipartite_ceiling(sigma),
                              warm.get(sigma, (0, ()))[0])
                   for sigma in range(5, cap + 1)}
+        left = budget[0]
         bip_results = _bipartite_above_floors(g, floors, budget)
+        anchor_units = left - budget[0]
     for sigma in range(2, cap + 1):
         we, ww = warm.get(sigma, (0, ()))
         nb = _nonbipartite_ceiling(sigma)
@@ -633,19 +681,23 @@ def exact_bounded_scan(g: SimpleGraph, k: int,
         method="exact-branch-and-bound", optimal=True,
         nodes_explored=total_nodes,
         max_edges_by_size={s: econn[s] for s in sorted(econn)},
-        settled_by=settled_by, nodes_by_size=nodes_by_size)
+        settled_by=settled_by, nodes_by_size=nodes_by_size,
+        anchor_units=anchor_units)
     _check_witness(g, best, best_wit)
     return report
 
 
 def bounded_density_scan(g: SimpleGraph, k: int, mode: str = "exact",
                          node_budget: Optional[int] = None,
-                         seed: int = 0) -> DensityReport:
-    """Bounded density scan: exact (k <= 12) or heuristic (any k)."""
+                         seed: int = 0,
+                         pattern: Optional[Pattern] = None) -> DensityReport:
+    """Bounded density scan: exact (k <= 12) or heuristic (any k).  The
+    forbidden ``pattern`` only tightens the exact scan's ceilings."""
     if k < 1:
         raise ValueError("size cap must be >= 1")
     if mode == "exact":
-        return exact_bounded_scan(g, k, node_budget=node_budget, warm_seed=seed)
+        return exact_bounded_scan(g, k, node_budget=node_budget, warm_seed=seed,
+                                  pattern=pattern)
     if mode == "heuristic":
         dens, wit = local_search_density(g, min(k, g.n), seed=seed)
         _check_witness(g, dens, wit)

@@ -89,7 +89,8 @@ def _log_steps(states: Iterator[ProcessState], fh: TextIO,
 def run_trial(cfg_text: str, n: int, n_index: int, trial: int,
               out_dir: str) -> dict:
     """Run one seeded trial and write its per-trial files.  Returns the
-    aggregate rows (picklable) for the parent to merge deterministically.
+    aggregate rows and the monitor notices (picklable) for the parent to
+    merge deterministically.
     A trial that fails removes the files it wrote before re-raising."""
     cfg = parse_config(cfg_text)
     pattern = parse_pattern(cfg.pattern)
@@ -123,6 +124,7 @@ def run_trial(cfg_text: str, n: int, n_index: int, trial: int,
                 marks = None if cfg.traj_log == "full" else set(checkpoints)
                 states = _log_steps(states, fh, marks)
             monitor_rows = []
+            notices = []
             if cfg.monitors:
                 stats = monitor_trajectory(states, constants, checkpoints,
                                            cuv_samples=cfg.cuv_samples,
@@ -130,6 +132,7 @@ def run_trial(cfg_text: str, n: int, n_index: int, trial: int,
                                            sample_seed=seed + 7919)
                 monitor_rows = [{"n": n, "trial": trial, **rec.as_row()}
                                 for rec in stats.records]
+                notices = [f"trial n={n} t={trial}: {line}" for line in stats.notices]
             else:
                 for _ in states:
                     pass
@@ -153,7 +156,7 @@ def run_trial(cfg_text: str, n: int, n_index: int, trial: int,
             budget = cfg.density_budget if cfg.density_budget > 0 else None
             report = bounded_density_scan(state.graph, cfg.density_k,
                                           mode=cfg.density_mode, node_budget=budget,
-                                          seed=seed)
+                                          seed=seed, pattern=pattern)
             density_rows = [{"n": n, "trial": trial, **report.as_row()}]
 
         copy_rows = [{"n": n, "trial": trial, "target": spec,
@@ -164,7 +167,8 @@ def run_trial(cfg_text: str, n: int, n_index: int, trial: int,
             os.remove(path)
         raise
     return {"stats": [stats_row], "monitors": monitor_rows,
-            "density": density_rows, "copies": copy_rows, "files": files}
+            "density": density_rows, "copies": copy_rows, "files": files,
+            "notices": notices}
 
 
 @dataclass
@@ -247,6 +251,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
     manifest["files"] = sorted(os.path.relpath(p, out_dir) for p in files)
     manifest["timings"] = {"wall_seconds": round(time.time() - t0, 3)}
     manifest["failures"] = failures
+    # checkpoints the process never reached: worth reading, not errors
+    manifest["notices"] = [line for res in done for line in res["notices"]]
     manifest["finalized"] = True
     _write_manifest(manifest_path, manifest)
     return RunResult(out_dir=out_dir, manifest_path=manifest_path,

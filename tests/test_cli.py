@@ -138,6 +138,24 @@ def test_density_subcommand(tmp_path, capsys):
     assert data["density"] == "3/2" and data["optimal"] == 1
 
 
+def test_density_pattern_sets_the_ceiling(tmp_path, capsys):
+    st = init_process(30, parse_pattern("C4"), 0)
+    run_until(st, Exhaustion())
+    path = tmp_path / "c4.edges"
+    with open(path, "w") as fh:
+        write_edge_list(st.graph, fh)
+    rows = {}
+    for spec in ("C3", "C4", "edges:1-2,2-3,3-4,4-1"):
+        code, out, _ = run_cli(capsys, "density", str(path), "--k", "6",
+                               "--pattern", spec)
+        assert code == 0
+        rows[spec] = json.loads(out.splitlines()[0])
+    # the host has triangles, so only the C4 ceiling spares branch-and-bound
+    assert rows["C3"]["nodes"] > rows["C4"]["nodes"]
+    assert rows["C4"] == rows["edges:1-2,2-3,3-4,4-1"]
+    assert {**rows["C3"], "nodes": 0} == {**rows["C4"], "nodes": 0}
+
+
 def test_density_threshold_check(tmp_path, capsys):
     g = parse_pattern("K12").to_graph()
     path = tmp_path / "k12.edges"

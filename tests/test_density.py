@@ -3,16 +3,17 @@ import itertools
 import random
 from fractions import Fraction
 
+import networkx
 import pytest
 
-from hfree.density import (SearchBudgetExceeded, _bipartite_above_floors,
-                           _nonbipartite_ceiling, bipartite_pocket_warm,
-                           bounded_density_scan,
-                           exact_bounded_scan, is_triangle_free,
+from hfree.density import (EXTREMAL_ROWS, SearchBudgetExceeded,
+                           _bipartite_above_floors, _nonbipartite_ceiling,
+                           bipartite_pocket_warm, bounded_density_scan,
+                           exact_bounded_scan, extremal_row, is_triangle_free,
                            local_search_density, verify_density_bound)
 from hfree.graphs import SimpleGraph
 from hfree.oracle import naive_max_density
-from hfree.patterns import Pattern, parse_pattern
+from hfree.patterns import Pattern, contains_copy, parse_pattern
 from hfree.process import Exhaustion, init_process, run_until
 from hfree.theory import Constants
 
@@ -292,3 +293,99 @@ def test_golden_pocket_warm(host, cap, want):
         g = random_graph(30, 0.3, 2)
     got = sorted(bipartite_pocket_warm(g, cap).items())
     assert hashlib.sha256(repr(got).encode()).hexdigest() == want
+
+
+def test_node_budget_covers_nodes_and_anchor_units():
+    # the anchor pass spends budget that nodes_explored does not count
+    g = random_triangle_free(29, 77, 29)
+    rep = exact_bounded_scan(g, 10)
+    assert rep.anchor_units > 0 and rep.nodes_explored > 0
+    spent = rep.nodes_explored + rep.anchor_units
+    assert exact_bounded_scan(g, 10, node_budget=spent) == rep
+    with pytest.raises(SearchBudgetExceeded):
+        exact_bounded_scan(g, 10, node_budget=spent - 1)
+    assert "anchor_units" not in rep.as_row()
+
+
+# ── the ex(s, H) ceiling ─────────────────────────────────────────────────
+
+def test_extremal_rows_match_graph_atlas():
+    """Every table entry is the most edges of an atlas graph on s vertices
+    (the atlas has every graph on at most 7) with no copy of H."""
+    atlas = {}
+    for nxg in networkx.graph_atlas_g():
+        s = nxg.number_of_nodes()
+        if s == 0:
+            continue
+        g = SimpleGraph(s)
+        for u, v in nxg.edges():
+            g.add_edge(u, v)
+        atlas.setdefault(s, []).append(g)
+    assert sorted(atlas) == list(range(1, 8))
+    for spec, row in EXTREMAL_ROWS.items():
+        h = parse_pattern(spec)
+        want = tuple(max(g.edge_count for g in atlas[s] if not contains_copy(h, g))
+                     for s in range(1, 8))
+        assert row == want, spec
+
+
+def test_extremal_row_matches_by_isomorphism():
+    assert extremal_row(parse_pattern("K3,2")) == EXTREMAL_ROWS["K2,3"]
+    assert extremal_row(parse_pattern("edges:1-3,3-2,2-4,4-1")) == EXTREMAL_ROWS["C4"]
+    assert extremal_row(parse_pattern("edges:1-2,2-3,3-4,4-5,5-1")) == EXTREMAL_ROWS["C5"]
+    # same vertex and edge counts as C4, but a triangle with a pendant edge
+    assert extremal_row(parse_pattern("edges:1-2,2-3,3-1,3-4")) is None
+    for spec in ("C3", "C6", "K5", "Q3"):
+        assert extremal_row(parse_pattern(spec)) is None, spec
+
+
+def _random_free_host(h, n, seed):
+    """Random H-free graph: pairs in random order, each kept unless it makes
+    a copy of H; stops early for one seed in four, so not every host is
+    maximal."""
+    rng = random.Random(seed)
+    g = SimpleGraph(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    if seed % 4 == 3:
+        pairs = pairs[: len(pairs) // 2]
+    for u, v in pairs:
+        bigger = g.copy()
+        bigger.add_edge(u, v)
+        if not contains_copy(h, bigger):
+            g = bigger
+    return g
+
+
+@pytest.mark.parametrize("spec", sorted(EXTREMAL_ROWS))
+def test_extremal_ceiling_keeps_every_result(spec):
+    h = parse_pattern(spec)
+    nodes = {"plain": 0, "pattern": 0}
+    for seed in range(8):
+        g = _random_free_host(h, 7 + seed, seed)
+        assert not contains_copy(h, g)
+        for cap in range(1, 8):
+            plain = exact_bounded_scan(g, cap)
+            rep = exact_bounded_scan(g, cap, pattern=h)
+            assert (rep.density, rep.witness, rep.max_edges_by_size) == \
+                (plain.density, plain.witness, plain.max_edges_by_size), (seed, cap)
+            assert rep.density == brute_best_density(g, cap), (seed, cap)
+            nodes["plain"] += plain.nodes_explored
+            nodes["pattern"] += rep.nodes_explored
+            # a scan's own spend is always a sufficient budget
+            again = exact_bounded_scan(g, cap, pattern=h,
+                                       node_budget=rep.nodes_explored + rep.anchor_units)
+            assert again == rep
+    assert nodes["pattern"] < nodes["plain"], nodes
+
+
+@pytest.mark.parametrize("spec", sorted(EXTREMAL_ROWS))
+def test_extremal_ceiling_skipped_on_host_with_copy(spec):
+    h = parse_pattern(spec)
+    for seed in range(3):
+        g = random_graph(12, 0.7, seed)
+        assert contains_copy(h, g)
+        plain = exact_bounded_scan(g, 7)
+        assert plain.nodes_explored > 0
+        assert exact_bounded_scan(g, 7, pattern=h) == plain
+        assert bounded_density_scan(g, 7, pattern=h) == plain
