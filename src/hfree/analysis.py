@@ -98,7 +98,7 @@ def _checkpoint(state: ProcessState, constants: Constants, cuv_samples: int,
     bound = constants.open_bound(i)
     open_count = state.open_count()
     # independent checks: no pair is both an edge and open, and the masks
-    # count each pair of the sampling array at both of its ends
+    # hold each of the counter's open pairs at both of its ends
     for u in range(state.n):
         both = state.graph.adj[u] & state.open_nbr[u]
         if both:
@@ -120,20 +120,16 @@ def _checkpoint(state: ProcessState, constants: Constants, cuv_samples: int,
     if cuv_samples > 0 and open_count > 0:
         rec.cuv_reference = (float(constants.beta) * (2 * t) ** (eh - 2)
                              * open_fraction(t, constants.pattern) / constants.p)
-        pool = state.open_pair_ids()
-        picks = srng.sample(pool, min(cuv_samples, len(pool)))
-        sized = {}
-        for pid in picks:
-            sized[pid] = len(compute_C_uv(state, pair_from_index(pid, state.n)))
-        rec.cuv_sizes = [sized[pid] for pid in picks]
+        picks = state.sample_open(srng, cuv_samples)
+        rec.cuv_sizes = [len(compute_C_uv(state, uv)) for uv in picks]
         if intersection_samples > 0 and open_count >= 2:
             rec.intersection_reference = state.n ** (-1.0 / eh) / constants.p
-            cache: dict[int, set[int]] = {}
+            cache: dict[tuple[int, int], set[int]] = {}
             for _ in range(intersection_samples):
-                a, b = srng.sample(pool, 2)
-                for pid in (a, b):
-                    if pid not in cache:
-                        cache[pid] = compute_C_uv(state, pair_from_index(pid, state.n))
+                a, b = state.sample_open(srng, 2)
+                for uv in (a, b):
+                    if uv not in cache:
+                        cache[uv] = compute_C_uv(state, uv)
                 rec.intersection_sizes.append(len(cache[a] & cache[b]))
     return rec
 

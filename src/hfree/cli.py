@@ -147,7 +147,8 @@ def cmd_density(args) -> int:
     if args.threshold is not None:
         check = verify_density_bound(g, None,
                                        override=(args.threshold, args.k),
-                                       node_budget=budget, scan=report)
+                                       node_budget=budget, scan=report,
+                                       pattern=pattern)
         print(json.dumps(check.as_dict(), sort_keys=True))
         return EXIT_OK if check.passed else EXIT_VERIFY_FAILED
     return EXIT_OK

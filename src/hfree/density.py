@@ -735,6 +735,7 @@ def verify_density_bound(g: SimpleGraph, constants,
                            override: Optional[tuple[float, int]] = None,
                            node_budget: Optional[int] = None,
                            scan: Optional[DensityReport] = None,
+                           pattern: Optional[Pattern] = None,
                            ) -> DensityBoundReport:
     """Check e(A) < c|A| for all A up to the size limit.
 
@@ -744,7 +745,7 @@ def verify_density_bound(g: SimpleGraph, constants,
     an actual bounded scan against the user threshold.  ``scan`` is a
     report already computed for ``g`` with the same budget; it is used when
     its size cap and mode are the ones the check would scan with (exact up
-    to cap 12, heuristic above), and otherwise the check scans again.
+    to cap 12, heuristic above); otherwise the check scans with ``pattern``.
     """
     if override is None:
         c = constants.c
@@ -764,7 +765,7 @@ def verify_density_bound(g: SimpleGraph, constants,
     exact = k <= EXACT_CAP_LIMIT
     if scan is None or scan.size_cap != k or scan.optimal != exact:
         scan = bounded_density_scan(g, k, mode="exact" if exact else "heuristic",
-                                    node_budget=node_budget)
+                                    node_budget=node_budget, pattern=pattern)
     passed = float(scan.density) < c
     detail = (f"max density {scan.density} vs threshold {c}"
               + ("" if scan.optimal else " (heuristic lower bound only)"))

@@ -4,8 +4,9 @@ State is the full Edge/Open/Closed tripartition of vertex pairs, maintained
 incrementally: when an edge is added, the pairs it newly closes are found by
 enumerating embeddings of each closure template's base anchored at that
 edge and reading off the image of the missing pair.  Uniform sampling from
-the open pairs uses a dense array with a position map (O(1) draw + delete,
-no rejection).
+the open pairs draws ids from a 4-byte array that holds each open pair once
+and accepts an id iff its mask bit is set; the array is never edited, only
+rebuilt from the masks, in id order, once over half of it is dead.
 
 The classification is two bitmasks per vertex: bit v of ``graph.adj[u]`` is
 set iff uv is an edge, bit v of ``open_nbr[u]`` iff uv is open, and a pair
@@ -23,8 +24,10 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from itertools import compress, count
+from typing import Collection, Iterable, Iterator, Optional, Union
 
 from .graphs import (SimpleGraph, pair_count, pair_from_index, pair_index,
                      pair_row_offsets)
@@ -35,7 +38,8 @@ from .theory import Rational, step_horizon
 OPEN, EDGE, CLOSED = 0, 1, 2
 CLASS_NAMES = {OPEN: "open", EDGE: "edge", CLOSED: "closed"}
 
-RNG_ID = "python-random-mt19937"
+RNG_ID = "python-random-mt19937+draw-array"
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 # ── stop rules ───────────────────────────────────────────────────────────
@@ -72,11 +76,10 @@ class ProcessState:
         self.seed = seed
         self.rng = random.Random(seed)
         self.graph = SimpleGraph(n)
-        npairs = pair_count(n)
         full = (1 << n) - 1
         self.open_nbr = [full ^ (1 << u) for u in range(n)]
-        self.open_list = list(range(npairs))
-        self.open_pos = list(range(npairs))
+        self._open = pair_count(n)
+        self._draw = array("I", range(self._open))
         self.step = 0
         self.last_step: Optional[tuple[int, int, int]] = None  # (u, v, closed)
         self.stopped_early = False
@@ -92,38 +95,51 @@ class ProcessState:
         return OPEN if (self.open_nbr[u] >> v) & 1 else CLOSED
 
     def open_count(self) -> int:
-        return len(self.open_list)
+        return self._open
 
     def closed_count(self) -> int:
-        return pair_count(self.n) - self.step - len(self.open_list)
+        return pair_count(self.n) - self.step - self._open
 
     def is_exhausted(self) -> bool:
-        return not self.open_list
+        return not self._open
+
+    def _open_ids(self) -> Iterator[int]:
+        """Open pair ids in increasing order, read from the masks."""
+        for u, m in enumerate(self.open_nbr):
+            row = bin(m >> u + 1)[:1:-1].encode().translate(_BITS)
+            yield from compress(count(self._off[u]), row)
 
     def open_pair_ids(self) -> list[int]:
-        return list(self.open_list)
+        return list(self._open_ids())
 
     def closed_pair_ids(self) -> set[int]:
         n, off = self.n, self._off
         return {off[u] + v - u - 1 for u in range(n) for v in range(u + 1, n)
                 if self.class_of(u, v) == CLOSED}
 
-    def _retire(self, ends: dict[int, tuple[int, int]]) -> None:
-        """Take the open pairs ``ends`` (pair id -> endpoints) out of the
-        open class, in increasing id order: each is swap-removed from the
-        sampling array and cleared in both open-neighbour masks."""
-        open_list, open_pos = self.open_list, self.open_pos
+    def draw_open(self, rng: random.Random) -> tuple[int, int]:
+        """Endpoints of a uniformly random open pair (one must exist):
+        entries of ``_draw`` are drawn until one is open; it is not changed."""
+        draw, open_nbr, n = self._draw, self.open_nbr, self.n
+        while True:
+            u, v = pair_from_index(draw[rng.randrange(len(draw))], n)
+            if (open_nbr[u] >> v) & 1:
+                return u, v
+
+    def sample_open(self, rng: random.Random, k: int) -> list[tuple[int, int]]:
+        """min(k, open) distinct open pairs (endpoints), drawn with ``rng``."""
+        picks: dict[tuple[int, int], None] = {}
+        while len(picks) < min(k, self._open):
+            picks[self.draw_open(rng)] = None
+        return list(picks)
+
+    def _retire(self, pairs: Collection[tuple[int, int]]) -> None:
+        """Clear both mask bits of each open pair in ``pairs`` (once each)."""
         open_nbr = self.open_nbr
-        for pid in sorted(ends):
-            u, v = ends[pid]
-            i = open_pos[pid]
-            last = open_list[-1]
-            open_list[i] = last
-            open_pos[last] = i
-            open_list.pop()
-            open_pos[pid] = -1
+        for u, v in pairs:
             open_nbr[u] ^= 1 << v
             open_nbr[v] ^= 1 << u
+        self._open -= len(pairs)
 
     # -- the step ---------------------------------------------------------
 
@@ -180,16 +196,17 @@ def step(state: ProcessState) -> tuple[int, int]:
     """Add one uniformly random open pair as an edge; update the
     classification; record the pair and how many pairs it closed in
     ``state.last_step``; return the pair."""
-    if not state.open_list:
+    if not state._open:
         raise RuntimeError("process exhausted: no open pair remains")
-    j = state.rng.randrange(len(state.open_list))
-    pid = state.open_list[j]
-    u, v = pair_from_index(pid, state.n)
-    state._retire({pid: (u, v)})
+    if len(state._draw) > 2 * state._open:
+        del state._draw[:]          # freed first: the rebuild reads only the masks
+        state._draw.extend(state._open_ids())
+    u, v = state.draw_open(state.rng)
+    state._retire(((u, v),))
     state.graph.add_edge(u, v)
     state.step += 1
     newly = state._closure_scan(u, v)
-    state._retire(newly)
+    state._retire(newly.values())
     state.last_step = (u, v, len(newly))
     return (u, v)
 
@@ -214,7 +231,7 @@ def iter_process(state: ProcessState, stop: StopRule) -> Iterator[ProcessState]:
     """Advance the state one step at a time, yielding it after each step,
     until the stop rule or exhaustion."""
     target = _stop_target(state, stop)
-    while state.open_list and (target is None or state.step < target):
+    while state._open and (target is None or state.step < target):
         step(state)
         yield state
     state.stopped_early = target is not None and state.step < target

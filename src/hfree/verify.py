@@ -10,12 +10,12 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from .graphs import SimpleGraph, pair_from_index
+from .graphs import SimpleGraph
 from .patterns import count_automorphisms, count_embeddings, parse_pattern
 from .density import bounded_density_scan
 from .oracle import (naive_C_uv, naive_closed_set, naive_count_copies,
                      naive_is_maximal_free, naive_max_density)
-from .process import compute_C_uv, init_process, step
+from .process import StepCount, compute_C_uv, init_process, run_until, step
 
 DEFAULT_CLOSURE_PATTERNS = ("C3", "C4")
 DEFAULT_COUNT_PATTERNS = ("C3", "C4", "C5", "K1,3")
@@ -62,16 +62,8 @@ def verify_cuv(n: int = 12, seeds: int = 5, samples: int = 3,
         for seed in range(seeds):
             state = init_process(n, pattern, seed)
             rng = random.Random(seed + 1)
-            target = max(1, rng.randrange(1, max(2, n)))
-            for _ in range(target):
-                if state.is_exhausted():
-                    break
-                step(state)
-            pool = state.open_pair_ids()
-            if not pool:
-                continue
-            for pid in rng.sample(pool, min(samples, len(pool))):
-                uv = pair_from_index(pid, n)
+            run_until(state, StepCount(max(1, rng.randrange(1, max(2, n)))))
+            for uv in state.sample_open(rng, samples):
                 got = compute_C_uv(state, uv)
                 want = naive_C_uv(state.graph, pattern, uv)
                 if got != want:

@@ -48,15 +48,15 @@ def test_monitor_sampling_does_not_perturb():
     b = init_process(40, C3, 7)
     run_until(b, StepCount(20))
     assert a.graph.adj == b.graph.adj
-    assert a.open_list == b.open_list
+    assert a._draw == b._draw
     assert a.rng.getstate() == b.rng.getstate()
 
 
 def _mark_edge_open(st):
     """Move one open pair's mask bits onto an edge: the mask popcount still
-    matches the sampling array, but that edge now also reads as open."""
+    matches the open counter, but that edge now also reads as open."""
     u, v = next(st.graph.edges())
-    a, b = pair_from_index(st.open_list[0], st.n)
+    a, b = pair_from_index(st.open_pair_ids()[0], st.n)
     for x, y in ((u, v), (v, u), (a, b), (b, a)):
         st.open_nbr[x] ^= 1 << y
 

@@ -73,7 +73,7 @@ def test_verify_library_detects_corruption():
         # retire the lowest open pair that nothing closed: it reads as closed
         if step_no == 3:
             pid = min(state.open_pair_ids())
-            state._retire({pid: pair_from_index(pid, state.n)})
+            state._retire([pair_from_index(pid, state.n)])
 
     mismatches = verify_closure(n=8, seeds=1, patterns=("C3",), mutate=corrupt)
     assert mismatches and "closure mismatch" in mismatches[0]
@@ -192,6 +192,31 @@ def test_density_threshold_scans_once(tmp_path, capsys, monkeypatch):
         # the report is reused when it is the exact scan the check needs
         assert len(calls) == 1, mode
         assert out.splitlines()[-1] == json.dumps(want.as_dict(), sort_keys=True)
+
+
+def test_density_threshold_rescan_gets_the_pattern(tmp_path, capsys, monkeypatch):
+    st = init_process(30, parse_pattern("C4"), 0)
+    run_until(st, Exhaustion())
+    path = tmp_path / "c4.edges"
+    with open(path, "w") as fh:
+        write_edge_list(st.graph, fh)
+    rescans = []
+    real = density.bounded_density_scan
+
+    def spy(*args, **kwargs):
+        rescans.append(kwargs.get("pattern"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(density, "bounded_density_scan", spy)
+    checks = []
+    for mode in ("exact", "heuristic"):
+        code, out, _ = run_cli(capsys, "density", str(path), "--k", "6", "--mode",
+                               mode, "--threshold", "3", "--pattern", "C4")
+        assert code == 0
+        checks.append(out.splitlines()[-1])
+    assert checks[0] == checks[1]
+    # only the heuristic run rescans, and it scans with the pattern
+    assert [p.edges for p in rescans] == [parse_pattern("C4").edges]
 
 
 def test_full_verification_clean():

@@ -244,6 +244,6 @@ def test_run_trial_traj_checkpoint_mode(tmp_path):
     res = run_trial(cfg.to_text(), 15, 0, 0, str(tmp_path))
     traj = [json.loads(line) for line in
             open(os.path.join(tmp_path, "trial_n15_t000.traj.jsonl"))]
-    assert traj[0]["rng"] == "python-random-mt19937"
+    assert traj[0]["rng"] == "python-random-mt19937+draw-array"
     steps = [rec["step"] for rec in traj[1:]]
     assert steps == [3, 7]

@@ -1,19 +1,22 @@
 import hashlib
 import io
 import random
+import tracemalloc
 from collections import Counter
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from hfree.graphs import pair_count, pair_from_index, pair_index, write_edge_list
+from hfree.graphs import (SimpleGraph, pair_count, pair_from_index, pair_index,
+                          write_edge_list)
 from hfree.oracle import naive_C_uv, naive_closed_set, naive_is_maximal_free
 from hfree.patterns import (Pattern, contains_copy, parse_pattern,
                             validate_as_constraint)
-from hfree.process import (CLOSED, EDGE, OPEN, EdgeSetF, Exhaustion, Horizon,
-                           StepCount, compute_C_uv, compute_O_F, init_process,
-                           iter_process, newly_closed_after, run_until, step)
+from hfree.process import (CLOSED, EDGE, OPEN, RNG_ID, EdgeSetF, Exhaustion,
+                           Horizon, StepCount, compute_C_uv, compute_O_F,
+                           init_process, iter_process, newly_closed_after,
+                           run_until, step)
 
 C3 = parse_pattern("C3")
 C5 = parse_pattern("C5")
@@ -28,13 +31,17 @@ def step_records(state, stop):
 def force_edge(state, u, v):
     """Add uv as an edge by hand, keeping the bookkeeping but closing
     nothing."""
-    state._retire({pair_index(u, v, state.n): (u, v)})
+    state._retire([(u, v)])
     state.graph.add_edge(u, v)
 
 
-def assert_open_masks_match_open_list(state):
+def assert_draw_holds_each_open_pair_once(state):
+    """Every open pair's id is in the draw array exactly once, and the
+    masks hold each open pair at both ends."""
+    in_draw = Counter(state._draw)
     want = [0] * state.n
-    for pid in state.open_list:
+    for pid in state.open_pair_ids():
+        assert in_draw[pid] == 1, pid
         u, v = pair_from_index(pid, state.n)
         want[u] |= 1 << v
         want[v] |= 1 << u
@@ -90,6 +97,95 @@ def test_first_step_uniformity():
         assert abs(c / draws - 1 / 6) <= 0.01, (pair, c)
 
 
+def _run_to(state, done):
+    """Step until ``done(state)``; the process must not run out first."""
+    while not done(state):
+        assert not state.is_exhausted()
+        step(state)
+
+
+def test_draw_open_uniform_with_dead_entries():
+    st = init_process(8, C3, 3)
+    _run_to(st, lambda s: 3 * (len(s._draw) - s.open_count()) >= len(s._draw))
+    open_pairs = {pair_from_index(pid, st.n) for pid in st.open_pair_ids()}
+    assert len(open_pairs) >= 5
+    draw = st._draw[:]
+    rng = random.Random(0)
+    draws = 60000
+    counts = Counter(st.draw_open(rng) for _ in range(draws))
+    assert set(counts) == open_pairs
+    for pair, c in counts.items():
+        assert abs(c / draws - 1 / len(open_pairs)) <= 0.01, (pair, c)
+    assert st._draw == draw
+
+
+def test_rebuild_holds_the_open_ids_in_order():
+    st = init_process(10, C3, 1)
+    _run_to(st, lambda s: len(s._draw) > 2 * s.open_count())
+    before = st.open_pair_ids()
+    pid = pair_index(*step(st), st.n)
+    assert list(st._draw) == before
+    assert pid in before and st.class_of(*pair_from_index(pid, st.n)) == EDGE
+
+
+def test_sample_open_draws_distinct_open_pairs():
+    st = init_process(12, parse_pattern("C4"), 2)
+    run_until(st, StepCount(8))
+    assert len(st._draw) > st.open_count() > 6  # dead entries present
+    draw, state = st._draw[:], st.rng.getstate()
+    rng = random.Random(5)
+    picks = st.sample_open(rng, 6)
+    assert len(set(picks)) == 6
+    assert all(st.class_of(*uv) == OPEN for uv in picks)
+    every = st.sample_open(rng, st.open_count() + 3)
+    assert sorted(pair_index(u, v, st.n) for u, v in every) == st.open_pair_ids()
+    assert st._draw == draw and st.rng.getstate() == state
+
+
+def test_init_process_memory_per_pair():
+    # the draw array's 4 bytes per pair, plus the masks: no per-pair objects
+    n = 2000
+    tracemalloc.start()
+    try:
+        init_process(n, C3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * pair_count(n)
+
+
+def reference_edges(n, pattern, seed):
+    """Edge sequence of a reference process: the fast process's draw and
+    rebuild protocol on a plain list of ids, with "open" decided afresh at
+    every step as neither an edge nor in ``naive_closed_set``."""
+    rng = random.Random(seed)
+    g = SimpleGraph(n)
+    draw = list(range(pair_count(n)))
+    edges = []
+    while True:
+        closed = naive_closed_set(g, pattern)
+        open_ids = [pid for pid in range(pair_count(n)) if pid not in closed
+                    and not g.has_edge(*pair_from_index(pid, n))]
+        if not open_ids:
+            return edges
+        if len(draw) > 2 * len(open_ids):
+            draw = open_ids
+        pid = draw[rng.randrange(len(draw))]
+        while pid not in open_ids:
+            pid = draw[rng.randrange(len(draw))]
+        edges.append(pair_from_index(pid, n))
+        g.add_edge(*edges[-1])
+
+
+@pytest.mark.parametrize("spec,n", [("C3", 10), ("C4", 10), ("K4", 10)])
+def test_reference_process_edge_sequences(spec, n):
+    pattern = parse_pattern(spec)
+    for seed in range(10):
+        states = iter_process(init_process(n, pattern, seed), Exhaustion())
+        fast = [st.last_step[:2] for st in states]
+        assert fast == reference_edges(n, pattern, seed), seed
+
+
 def test_newly_closed_path():
     st = init_process(3, C3, 0)
     force_edge(st, 0, 1)
@@ -122,7 +218,7 @@ def test_incremental_classes_match_oracle(spec, n, seed):
     while not st.is_exhausted():
         step(st)
         assert st.closed_pair_ids() == naive_closed_set(st.graph, pattern)
-        assert_open_masks_match_open_list(st)
+        assert_draw_holds_each_open_pair_once(st)
         # partition invariant
         counts = Counter(st.class_of(u, v) for u in range(n) for v in range(u + 1, n))
         assert counts[EDGE] == st.step
@@ -306,16 +402,17 @@ def _trajectory_digests(spec, n, seed):
             hashlib.sha256(edges.getvalue().encode()).hexdigest())
 
 
-# Digests of the per-step records and final edge list, recorded with the
-# row-walk pair decode and the per-pair recursive closure scan; any change
-# to sampling, decoding or closure order shows up here.
+# Digests of the per-step records and final edge list, recorded under the
+# sampler id below; any change to sampling, decoding or closure order shows
+# up here, and a change that is meant must come with a new RNG_ID.
 @pytest.mark.parametrize("spec,n,seed,want", [
-    ("C3", 60, 0, (413,
-                   "5fa00720b7c41dbb36ca7a7e8c65252db5226411cf5ba1e691d6194ad362b796",
-                   "d5064fa8c5b282a373fa0058d0140f700453655af56309ef2f19f72d4bb12331")),
-    ("C4", 40, 1, (106,
-                   "21534e4952bda5480ade6b0ce9d8163601b3a8f5bee72e6ceb214106db6b1d71",
-                   "ca5859b0b6fe1ea0593c4f62cb6cd653d55b22df7f76b72a1bac63ee8617cff1")),
+    ("C3", 60, 0, (395,
+                   "71313231fc9288f160fc48c40264237ae887c3aa1cc0e31007e226143cc33315",
+                   "e0eb6794b2e43316293300cdfdbc0cd29d04dc94c3d4419e4beabd6e05fdd795")),
+    ("C4", 40, 1, (102,
+                   "47e0e22bf83dc19dfbca412275c0f2841e4b6789c9dda07429b54aee688b7053",
+                   "54da3a6aae9a989caf5f65f5e21955fdca545bbb04fca03cf642edb4911253b1")),
 ])
 def test_golden_trajectories(spec, n, seed, want):
+    assert RNG_ID == "python-random-mt19937+draw-array"
     assert _trajectory_digests(spec, n, seed) == want
