@@ -107,13 +107,16 @@ def cmd_params(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    mismatches = run_verification(scope=args.scope, size=args.size, seeds=args.seeds)
+    mismatches, compared = run_verification(scope=args.scope, size=args.size,
+                                            seeds=args.seeds)
     if mismatches:
         for line in mismatches:
             print(f"MISMATCH {line}", file=sys.stderr)
         print(f"{len(mismatches)} mismatches", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    print(f"ok: scope={args.scope} size={args.size} seeds={args.seeds}, no mismatches")
+    counts = " ".join(f"{name}={n}" for name, n in compared.items())
+    print(f"ok: scope={args.scope} size={args.size} seeds={args.seeds}, no mismatches"
+          f" (comparisons: {counts})")
     return EXIT_OK
 
 

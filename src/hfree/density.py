@@ -21,7 +21,10 @@ over all graphs on s vertices in the networkx graph atlas, and the tests
 recompute every entry from the atlas.  Warm starts come
 from a beam search over complete-bipartite pockets and a randomized greedy
 + swap local search; in triangle-free hosts the pockets frequently reach
-the ceiling outright, which ends that size's search immediately.
+the ceiling outright, which ends that size's search immediately.  Each
+beam entry keeps its candidate rows as a pool bitmask and scores them all
+at once: bit planes, summed with a ripple carry over the entry's common
+neighbourhood, hold every row's count of common neighbours.
 
 In a triangle-free host any sigma-set above the non-bipartite ceiling
 floor((sigma-1)^2/4) + 1 induces a bipartite graph, and such a set has
@@ -129,20 +132,25 @@ def bipartite_pocket_warm(g: SimpleGraph, cap: int,
     total size sigma <= cap, the best (s*t, witness) found.  A lower bound
     on the true max edge count at each size.
 
-    The left side grows one row at a time, and the common neighbourhood
-    only shrinks down the beam, so a row that qualifies for a child (at
-    least two common neighbours) already qualified for its parent: each
-    child rescans its parent's qualifying list, not the whole two-hop
-    neighbourhood."""
+    A beam entry is a left side, its common neighbourhood C and a pool
+    bitmask of rows that may qualify (at least two neighbours in C).  C
+    only shrinks down the beam, so a child's pool is its parent's
+    qualifying set.  An entry counts |N(w) & C| for every row w at once:
+    adding adj[c] for each c in C into bit planes with a ripple carry
+    leaves bit i of that count in bit w of plane i.  The qualifying rows
+    are the pool rows set in some plane above the first, and the children
+    are the POCKET_BEAM of them with the highest count, ties to the highest
+    row, found by a descent over the planes."""
     n = g.n
     adj = g.adj
     best: dict[int, tuple[int, tuple[int, ...]]] = {}
+    top_e = [0] * (cap + 1)         # best[sigma][0], 0 while unset
 
-    def offer(left: list[int], common: int) -> None:
+    def offer(left: list[int], common: int, size: int) -> None:
         s = len(left)
-        tmax = min(common.bit_count(), cap - s)
+        tmax = min(size, cap - s)
         for t in range(1, tmax + 1):
-            if s * t > best.get(s + t, (0, ()))[0]:
+            if s * t > top_e[s + t]:
                 break
         else:
             return
@@ -153,36 +161,61 @@ def bipartite_pocket_warm(g: SimpleGraph, cap: int,
             rs.append(lsb.bit_length() - 1)
             m ^= lsb
         for t in range(1, tmax + 1):
-            if s * t > best.get(s + t, (0, ()))[0]:
+            if s * t > top_e[s + t]:
+                top_e[s + t] = s * t
                 best[s + t] = (s * t, tuple(sorted(left + rs[:t])))
 
     for u in range(n):
         au = adj[u]
-        offer([u], au)
+        size = au.bit_count()
+        offer([u], au, size)
         two_hop = 0
         for c in iter_bits(au):
             two_hop |= adj[c]
-        # (left, common, pool): pool holds every row that may qualify
-        frontier = [([u], au, list(iter_bits(two_hop & ~(1 << u))))]
+        # (left, common, |common|, pool)
+        frontier = [([u], au, size, two_hop & ~(1 << u))]
         for _ in range(min(cap - 1, 5) - 1):
             nxt = []
-            for left, common, pool in frontier:
-                if common.bit_count() < 2:
+            for left, common, size, pool in frontier:
+                if size < 2:
                     continue
-                last = left[-1]
-                scored = []
-                for w in pool:
-                    c2 = (adj[w] & common).bit_count()
-                    if c2 >= 2 and w != last:
-                        scored.append((c2, w))
-                qual = [w for _, w in scored]
-                scored.sort(reverse=True)
-                for c2, w in scored[:POCKET_BEAM]:
-                    left2 = left + [w]
-                    com2 = common & adj[w]
-                    offer(left2, com2)
-                    nxt.append((left2, com2, qual))
-            nxt.sort(key=lambda it: -(it[1].bit_count() * (len(it[0]) + 1)))
+                planes: list[int] = []
+                m = common
+                while m:
+                    lsb = m & -m
+                    x = adj[lsb.bit_length() - 1]
+                    m ^= lsb
+                    for i, p in enumerate(planes):
+                        planes[i] = p ^ x
+                        x &= p
+                        if not x:
+                            break
+                    else:
+                        planes.append(x)
+                qual = 0
+                for p in planes[1:]:
+                    qual |= p
+                qual &= pool & ~(1 << left[-1])
+                rest = qual
+                room = POCKET_BEAM
+                while rest and room:
+                    top = rest
+                    for p in reversed(planes):
+                        if top & p:
+                            top &= p
+                    rest ^= top
+                    while top and room:
+                        w = top.bit_length() - 1
+                        top ^= 1 << w
+                        room -= 1
+                        left2 = left + [w]
+                        com2 = common & adj[w]
+                        size2 = com2.bit_count()
+                        offer(left2, com2, size2)
+                        nxt.append((left2, com2, size2, qual))
+            # every left side in nxt has the same length, so |common| alone
+            # orders the entries by the edge count of their full pocket
+            nxt.sort(key=lambda it: -it[2])
             frontier = nxt[: POCKET_BEAM * 2]
     return best
 
@@ -475,8 +508,11 @@ def _bipartite_above_floors(g: SimpleGraph, floors: dict[int, int],
                 slack = common.bit_count() - t
                 within = [nxt] * (slack + 1)
                 down = range(slack, 0, -1)
-                for c in iter_bits(common):
-                    x = adj[c]
+                m = common
+                while m:
+                    lsb = m & -m
+                    x = adj[lsb.bit_length() - 1]
+                    m ^= lsb
                     for j in down:
                         within[j] = (within[j] & x) | within[j - 1]
                     within[0] &= x

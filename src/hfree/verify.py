@@ -1,8 +1,10 @@
 """Fast-vs-oracle equivalence checks on random seeded instances.
 
 Each check returns a list of mismatch descriptions carrying full
-reproduction info (pattern, n, seed, step); an empty list means the fast
-paths agree with the brute-force definitions everywhere they were tried.
+reproduction info (pattern, n, seed, step), and the number of comparisons
+it made; an empty list means the fast paths agree with the brute-force
+definitions everywhere they were tried, and the count shows how many
+places that was.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from .patterns import count_automorphisms, count_embeddings, parse_pattern
 from .density import bounded_density_scan
 from .oracle import (naive_C_uv, naive_closed_set, naive_count_copies,
                      naive_is_maximal_free, naive_max_density)
-from .process import StepCount, compute_C_uv, init_process, run_until, step
+from .process import (Exhaustion, StepCount, compute_C_uv, init_process,
+                      run_until, step)
 
 DEFAULT_CLOSURE_PATTERNS = ("C3", "C4")
 DEFAULT_COUNT_PATTERNS = ("C3", "C4", "C5", "K1,3")
@@ -23,12 +26,13 @@ DEFAULT_COUNT_PATTERNS = ("C3", "C4", "C5", "K1,3")
 
 def verify_closure(n: int = 12, seeds: int = 5,
                    patterns: tuple[str, ...] = DEFAULT_CLOSURE_PATTERNS,
-                   mutate: Optional[Callable] = None) -> list[str]:
+                   mutate: Optional[Callable] = None) -> tuple[list[str], int]:
     """Run processes to exhaustion comparing the incremental classification
     against definitional recomputation at every step, then check that the
     final graph is maximal.  ``mutate(state, step_no)`` is a test hook that
     lets callers corrupt the state to exercise the failure path."""
     mismatches = []
+    compared = 0
     for spec in patterns:
         pattern = parse_pattern(spec)
         for seed in range(seeds):
@@ -39,6 +43,7 @@ def verify_closure(n: int = 12, seeds: int = 5,
                     mutate(state, state.step)
                 want = naive_closed_set(state.graph, pattern)
                 got = state.closed_pair_ids()
+                compared += 1
                 if got != want:
                     mismatches.append(
                         f"closure mismatch: pattern={spec} n={n} seed={seed} "
@@ -46,17 +51,20 @@ def verify_closure(n: int = 12, seeds: int = 5,
                         f"oracle {sorted(want)}")
                     break
             else:
+                compared += 1
                 if not naive_is_maximal_free(state.graph, pattern):
                     mismatches.append(
                         f"final graph not maximal: pattern={spec} n={n} seed={seed}")
-    return mismatches
+    return mismatches, compared
 
 
 def verify_cuv(n: int = 12, seeds: int = 5, samples: int = 3,
-               patterns: tuple[str, ...] = DEFAULT_CLOSURE_PATTERNS) -> list[str]:
+               patterns: tuple[str, ...] = DEFAULT_CLOSURE_PATTERNS,
+               ) -> tuple[list[str], int]:
     """Spot-check compute_C_uv against the definitional pair scan on
-    mid-trajectory states."""
+    mid-trajectory states; a state with no open pair compares nothing."""
     mismatches = []
+    compared = 0
     for spec in patterns:
         pattern = parse_pattern(spec)
         for seed in range(seeds):
@@ -66,11 +74,12 @@ def verify_cuv(n: int = 12, seeds: int = 5, samples: int = 3,
             for uv in state.sample_open(rng, samples):
                 got = compute_C_uv(state, uv)
                 want = naive_C_uv(state.graph, pattern, uv)
+                compared += 1
                 if got != want:
                     mismatches.append(
                         f"C_uv mismatch: pattern={spec} n={n} seed={seed} "
                         f"step={state.step} uv={uv}: {sorted(got)} vs {sorted(want)}")
-    return mismatches
+    return mismatches, compared
 
 
 def _random_graph(n: int, p: float, rng: random.Random) -> SimpleGraph:
@@ -82,31 +91,44 @@ def _random_graph(n: int, p: float, rng: random.Random) -> SimpleGraph:
     return g
 
 
-def verify_density(n: int = 10, seeds: int = 20) -> list[str]:
-    """Exact density scans vs the subset-enumeration oracle on random
-    graphs; the heuristic scan must stay at or below the oracle."""
+def verify_density(n: int = 10, seeds: int = 20) -> tuple[list[str], int]:
+    """Exact density scans vs the subset-enumeration oracle on a random
+    graph and a maximal triangle-free one (the C3 process run to
+    exhaustion, where the pocket warm start and the bipartite anchor pass
+    do the work) per seed; the heuristic scan must stay at or below the
+    oracle."""
     mismatches = []
+    compared = 0
+    c3 = parse_pattern("C3")
     for seed in range(seeds):
         rng = random.Random(seed)
-        g = _random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng)
-        want, _ = naive_max_density(g)
-        report = bounded_density_scan(g, min(n, 12), mode="exact")
-        if report.density != want:
-            mismatches.append(
-                f"density scan mismatch: n={n} seed={seed}: "
-                f"scan {report.density} vs oracle {want}")
-        heur = bounded_density_scan(g, min(n, 12), mode="heuristic")
-        if heur.density > want:
-            mismatches.append(
-                f"heuristic exceeded exact: n={n} seed={seed}: "
-                f"{heur.density} > {want}")
-    return mismatches
+        hosts = [("random", _random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng))]
+        if n >= 3:          # the C3 process needs three vertices
+            state = init_process(n, c3, seed)
+            run_until(state, Exhaustion())
+            hosts.append(("C3-process", state.graph))
+        for host, g in hosts:
+            want, _ = naive_max_density(g)
+            report = bounded_density_scan(g, min(n, 12), mode="exact")
+            if report.density != want:
+                mismatches.append(
+                    f"density scan mismatch: host={host} n={n} seed={seed}: "
+                    f"scan {report.density} vs oracle {want}")
+            heur = bounded_density_scan(g, min(n, 12), mode="heuristic")
+            if heur.density > want:
+                mismatches.append(
+                    f"heuristic exceeded exact: host={host} n={n} seed={seed}: "
+                    f"{heur.density} > {want}")
+            compared += 2
+    return mismatches, compared
 
 
 def verify_counts(n: int = 10, seeds: int = 10,
-                  patterns: tuple[str, ...] = DEFAULT_COUNT_PATTERNS) -> list[str]:
+                  patterns: tuple[str, ...] = DEFAULT_COUNT_PATTERNS,
+                  ) -> tuple[list[str], int]:
     """Embedding counts / aut vs the naive copy counter on random hosts."""
     mismatches = []
+    compared = 0
     for seed in range(seeds):
         rng = random.Random(seed)
         g = _random_graph(n, rng.choice([0.3, 0.5]), rng)
@@ -114,20 +136,25 @@ def verify_counts(n: int = 10, seeds: int = 10,
             pattern = parse_pattern(spec)
             fast = count_embeddings(pattern, g) // count_automorphisms(pattern)
             want = naive_count_copies(pattern, g)
+            compared += 1
             if fast != want:
                 mismatches.append(
                     f"copy count mismatch: pattern={spec} n={n} seed={seed}: "
                     f"fast {fast} vs oracle {want}")
-    return mismatches
+    return mismatches, compared
 
 
-def run_verification(scope: str = "all", size: int = 12, seeds: int = 5) -> list[str]:
-    mismatches = []
+def run_verification(scope: str = "all", size: int = 12, seeds: int = 5,
+                     ) -> tuple[list[str], dict[str, int]]:
+    """Every check of the scope; returns the mismatches and, per check,
+    the number of comparisons it made."""
+    checks = {}
     if scope in ("closure", "all"):
-        mismatches += verify_closure(n=min(size, 25), seeds=seeds)
-        mismatches += verify_cuv(n=min(size, 25), seeds=seeds)
+        checks["closure"] = verify_closure(n=min(size, 25), seeds=seeds)
+        checks["cuv"] = verify_cuv(n=min(size, 25), seeds=seeds)
     if scope in ("density", "all"):
-        mismatches += verify_density(n=min(size, 12), seeds=max(seeds, 10))
+        checks["density"] = verify_density(n=min(size, 12), seeds=max(seeds, 10))
     if scope in ("counts", "all"):
-        mismatches += verify_counts(n=min(size, 12), seeds=seeds)
-    return mismatches
+        checks["counts"] = verify_counts(n=min(size, 12), seeds=seeds)
+    mismatches = [m for found, _ in checks.values() for m in found]
+    return mismatches, {name: compared for name, (_, compared) in checks.items()}

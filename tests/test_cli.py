@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,9 +8,9 @@ from hfree.config import ExperimentConfig
 from hfree.graphs import write_edge_list
 from hfree.harness import run_experiment
 from hfree.patterns import parse_pattern
-from hfree.process import Exhaustion, init_process, run_until
+from hfree.process import Exhaustion, StepCount, init_process, run_until
 from hfree.theory import Constants
-from hfree.verify import run_verification, verify_closure
+from hfree.verify import run_verification, verify_closure, verify_cuv, verify_density
 
 
 def run_cli(capsys, *argv):
@@ -60,7 +61,7 @@ def test_verify_cli_closure_scope(capsys):
 
 def test_verify_cli_failure_path(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_verification",
-                        lambda **kw: ["synthetic mismatch"])
+                        lambda **kw: (["synthetic mismatch"], {"counts": 1}))
     code, _, err = run_cli(capsys, "verify", "--scope", "counts")
     assert code == cli.EXIT_VERIFY_FAILED
     assert "synthetic mismatch" in err
@@ -75,8 +76,43 @@ def test_verify_library_detects_corruption():
             pid = min(state.open_pair_ids())
             state._retire([pair_from_index(pid, state.n)])
 
-    mismatches = verify_closure(n=8, seeds=1, patterns=("C3",), mutate=corrupt)
+    mismatches, compared = verify_closure(n=8, seeds=1, patterns=("C3",),
+                                          mutate=corrupt)
     assert mismatches and "closure mismatch" in mismatches[0]
+    assert compared == 3    # the corrupted step is the last one compared
+
+
+def test_verify_prints_comparison_counts(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "verify", "--scope", "counts",
+                           "--size", "8", "--seeds", "2")
+    # 2 hosts x 4 patterns
+    assert code == 0 and out.strip().endswith("(comparisons: counts=8)")
+    # a check that compared nothing shows as 0
+    monkeypatch.setattr(cli, "run_verification",
+                        lambda **kw: ([], {"closure": 5, "cuv": 0}))
+    code, out, _ = run_cli(capsys, "verify", "--scope", "closure")
+    assert code == 0 and "(comparisons: closure=5 cuv=0)" in out
+
+
+def test_verify_cuv_counts_pairs_compared():
+    # C3 on 4 vertices: some runs end with no open pair and compare nothing
+    n, seeds, samples = 4, 8, 3
+    want = 0
+    for seed in range(seeds):
+        state = init_process(n, parse_pattern("C3"), seed)
+        rng = random.Random(seed + 1)
+        run_until(state, StepCount(max(1, rng.randrange(1, n))))
+        want += min(samples, state.open_count())
+    assert verify_cuv(n=n, seeds=seeds, samples=samples, patterns=("C3",)) == ([], want)
+    assert want < seeds * samples
+
+
+def test_verify_density_covers_triangle_free_hosts():
+    # a random host and a maximal triangle-free one per seed, exact and
+    # heuristic scans each
+    assert verify_density(n=8, seeds=2) == ([], 8)
+    # below three vertices there is no C3 process, only the random host
+    assert verify_density(n=2, seeds=2) == ([], 4)
 
 
 def test_simulate_analyze_roundtrip(tmp_path, capsys):
@@ -220,4 +256,4 @@ def test_density_threshold_rescan_gets_the_pattern(tmp_path, capsys, monkeypatch
 
 
 def test_full_verification_clean():
-    assert run_verification(scope="counts", size=8, seeds=2) == []
+    assert run_verification(scope="counts", size=8, seeds=2) == ([], {"counts": 8})

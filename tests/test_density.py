@@ -6,12 +6,12 @@ from fractions import Fraction
 import networkx
 import pytest
 
-from hfree.density import (EXTREMAL_ROWS, SearchBudgetExceeded,
+from hfree.density import (EXTREMAL_ROWS, POCKET_BEAM, SearchBudgetExceeded,
                            _bipartite_above_floors, _nonbipartite_ceiling,
                            bipartite_pocket_warm, bounded_density_scan,
                            exact_bounded_scan, extremal_row, is_triangle_free,
                            local_search_density, verify_density_bound)
-from hfree.graphs import SimpleGraph
+from hfree.graphs import SimpleGraph, iter_bits
 from hfree.oracle import naive_max_density
 from hfree.patterns import Pattern, contains_copy, parse_pattern
 from hfree.process import Exhaustion, init_process, run_until
@@ -295,6 +295,85 @@ def test_golden_pocket_warm(host, cap, want):
         g = random_graph(30, 0.3, 2)
     got = sorted(bipartite_pocket_warm(g, cap).items())
     assert hashlib.sha256(repr(got).encode()).hexdigest() == want
+
+
+def reference_pocket_warm(g, cap):
+    """The pocket beam as a list scan: one popcount per pool row, then a
+    full sort of the qualifying rows by (count, row)."""
+    n = g.n
+    adj = g.adj
+    best = {}
+
+    def offer(left, common):
+        s = len(left)
+        tmax = min(common.bit_count(), cap - s)
+        for t in range(1, tmax + 1):
+            if s * t > best.get(s + t, (0, ()))[0]:
+                break
+        else:
+            return
+        rs = []
+        m = common
+        while len(rs) < tmax:
+            lsb = m & -m
+            rs.append(lsb.bit_length() - 1)
+            m ^= lsb
+        for t in range(1, tmax + 1):
+            if s * t > best.get(s + t, (0, ()))[0]:
+                best[s + t] = (s * t, tuple(sorted(left + rs[:t])))
+
+    for u in range(n):
+        au = adj[u]
+        offer([u], au)
+        two_hop = 0
+        for c in iter_bits(au):
+            two_hop |= adj[c]
+        # (left, common, pool): pool holds every row that may qualify
+        frontier = [([u], au, list(iter_bits(two_hop & ~(1 << u))))]
+        for _ in range(min(cap - 1, 5) - 1):
+            nxt = []
+            for left, common, pool in frontier:
+                if common.bit_count() < 2:
+                    continue
+                last = left[-1]
+                scored = []
+                for w in pool:
+                    c2 = (adj[w] & common).bit_count()
+                    if c2 >= 2 and w != last:
+                        scored.append((c2, w))
+                qual = [w for _, w in scored]
+                scored.sort(reverse=True)
+                for c2, w in scored[:POCKET_BEAM]:
+                    left2 = left + [w]
+                    com2 = common & adj[w]
+                    offer(left2, com2)
+                    nxt.append((left2, com2, qual))
+            nxt.sort(key=lambda it: -(it[1].bit_count() * (len(it[0]) + 1)))
+            frontier = nxt[: POCKET_BEAM * 2]
+    return best
+
+
+def _pocket_hosts():
+    """Seeded hosts of every kind the density scan meets: G(n, p), random
+    triangle-free, greedy C4-free, plus a one-vertex and an edgeless host."""
+    yield "one-vertex", SimpleGraph(1)
+    yield "edgeless", SimpleGraph(9)
+    c4 = parse_pattern("C4")
+    for seed in range(12):
+        rng = random.Random(seed)
+        yield f"gnp-{seed}", random_graph(rng.randint(2, 40),
+                                          rng.choice([0.1, 0.2, 0.3, 0.5]), seed)
+        n = rng.randint(5, 60)
+        yield f"tri-free-{seed}", random_triangle_free(n, rng.randint(n, 8 * n), seed)
+        if seed < 4:
+            yield f"c4-free-{seed}", _random_free_host(c4, rng.randint(10, 18), seed)
+
+
+def test_pocket_warm_matches_reference():
+    for name, g in _pocket_hosts():
+        for cap in range(1, 13):
+            assert bipartite_pocket_warm(g, cap) == reference_pocket_warm(g, cap), \
+                (name, g.n, cap)
 
 
 def test_node_budget_covers_nodes_and_anchor_units():
