@@ -134,17 +134,15 @@ def _checkpoint(state: ProcessState, constants: Constants, cuv_samples: int,
     return rec
 
 
-def default_checkpoints(constants: Constants, count: int = 12) -> list[int]:
-    """An even grid over the tracked phase [1, m].  The nominal monitor
-    range [n^2 p, m] is empty at desk scale (n^2 p exceeds m for every
-    reachable n), so the grid spans the realizable prefix instead and each
-    record carries an in-range flag."""
+def default_checkpoints(constants: Constants) -> list[int]:
+    """An even grid of 12 steps over the tracked phase [1, m].  The nominal
+    monitor range [n^2 p, m] is empty at desk scale (n^2 p exceeds m for
+    every reachable n), so the grid spans the realizable prefix instead and
+    each record carries an in-range flag."""
     m = constants.m_steps
     lo = min(int(constants.n * constants.n * constants.p), m)
     lo = max(1, min(lo, max(1, m // 2)))
-    if count < 2:
-        return [m]
-    span = [lo + round(j * (m - lo) / (count - 1)) for j in range(count)]
+    span = [lo + round(j * (m - lo) / 11) for j in range(12)]
     return sorted(set(max(1, s) for s in span))
 
 

@@ -30,7 +30,6 @@ class ExperimentConfig:
     monitors: bool = False
     cuv_samples: int = 0
     intersection_samples: int = 100
-    slack: float = 3.0
     density_k: int = 0                # 0 disables the density scan
     density_mode: str = "exact"       # exact | heuristic
     density_budget: int = 0           # 0 = unlimited
@@ -88,7 +87,6 @@ class ExperimentConfig:
             f"monitors = {'on' if self.monitors else 'off'}",
             f"cuv_samples = {self.cuv_samples}",
             f"intersection_samples = {self.intersection_samples}",
-            f"slack = {self.slack:.12g}",
             f"density_k = {self.density_k}",
             f"density_mode = {self.density_mode}",
             f"density_budget = {self.density_budget}",
@@ -132,8 +130,6 @@ def parse_config(text: str) -> ExperimentConfig:
             cfg.checkpoints = value.replace(" ", "") if value not in ("auto", "off") else value
         elif key == "monitors":
             cfg.monitors = _parse_bool(value, lineno)
-        elif key == "slack":
-            cfg.slack = float(value)
         elif key == "copy_patterns":
             cfg.copy_patterns = [] if value == "off" else _split_patterns(value, lineno)
         else:

@@ -1,11 +1,13 @@
 """Size-bounded densest-subgraph search.
 
-Exact mode answers max e(A)/|A| over vertex sets of size at most k with a
-proof of optimality.  Since the maximum ratio is always attained on a
-connected set (splitting a disconnected set cannot increase the ratio), the
-engine computes, for each size sigma <= k, the exact maximum edge count
-over *connected* sigma-sets by branch and bound, bootstrapping: the bound
-for a partial set A with room for r more vertices is
+`bounded_density_scan` is the one entry point.  Both modes build the warm
+record, the best edge count found per size; exact mode then raises every
+size to its proven maximum, which proves max e(A)/|A| over vertex sets of
+size at most k.  Since the maximum ratio is always attained on a connected
+set (splitting a disconnected set cannot increase the ratio), the engine
+computes, for each size sigma <= k, the exact maximum edge count over
+*connected* sigma-sets by branch and bound, bootstrapping: the bound for a
+partial set A with room for r more vertices is
 
     e(A) + (sum of the r largest edge-counts into A over frontier
     candidates) + UB(r)
@@ -33,7 +35,7 @@ complete rows (anchored on their common neighbourhood) settles every size
 at once.  The report records, per size, which stage proved the maximum:
 the warm start, this anchor pass or branch-and-bound.
 
-Heuristic mode returns the warm start alone, flagged as a lower bound.
+Heuristic mode reports the warm record alone, flagged as a lower bound.
 """
 
 from __future__ import annotations
@@ -290,20 +292,6 @@ def local_search_warm(g: SimpleGraph, cap: int, seed: int = 0,
     for _ in range(WARM_RESTARTS):
         _greedy_grow(g, cap, rng, record)
     return record
-
-
-def local_search_density(g: SimpleGraph, cap: int, seed: int = 0,
-                         ) -> tuple[Fraction, tuple[int, ...]]:
-    """Best ratio found heuristically (a lower bound on the true max)."""
-    record = local_search_warm(g, cap, seed=seed)
-    best = Fraction(0)
-    wit: tuple[int, ...] = (0,)
-    for size in sorted(record):
-        e, w = record[size]
-        dens = Fraction(e, size)
-        if dens > best:
-            best, wit = dens, w
-    return best, wit
 
 
 # ── exact engine ─────────────────────────────────────────────────────────
@@ -627,119 +615,102 @@ def _check_witness(g: SimpleGraph, density: Fraction,
             f"{density} * {len(witness)}")
 
 
-def exact_bounded_scan(g: SimpleGraph, k: int,
-                       node_budget: Optional[int] = None,
-                       warm_seed: int = 0,
-                       pattern: Optional[Pattern] = None,
-                       ) -> DensityReport:
-    """Exact max of e(A)/|A| over |A| <= k, with witness and optimality
-    proof.  Raises SearchBudgetExceeded if a node budget is given and the
-    proof would need more search; the budget covers the report's
-    nodes_explored + anchor_units, so that sum always suffices.  With the
-    forbidden ``pattern`` of an H-free host, each size s <= 7 is also
-    capped at ex(s, H) where EXTREMAL_ROWS has H."""
-    if k < 1:
-        raise ValueError("size cap must be >= 1")
-    if k > EXACT_CAP_LIMIT:
-        raise ValueError(f"exact mode limited to caps <= {EXACT_CAP_LIMIT}")
-    n = g.n
-    cap = min(k, n)
-    tri_free = is_triangle_free(g)
-    ex_row = extremal_row(pattern) if pattern is not None else None
-    if ex_row is not None and contains_copy(pattern, g):
-        ex_row = None           # ex(s, H) bounds only H-free hosts
-
-    def ceiling(s: int) -> int:
-        c = (s * s) // 4 if tri_free else s * (s - 1) // 2
-        return min(c, ex_row[s - 1]) if ex_row and s <= len(ex_row) else c
-
-    rank = _degeneracy_rank(g)
-    warm = local_search_warm(g, cap, seed=warm_seed)
-    # anchor units and B&B nodes draw on one budget; without a node budget
-    # it only counts
-    budget = [sys.maxsize if node_budget is None else node_budget]
-
-    econn = {1: 0}
-    wits = {1: warm.get(1, (0, (0,)))[1]}
-    settled_by = {1: "warm"}
-    nodes_by_size = {1: 0}
-    ub_small = [0, 0]  # UB(r): sound upper bound on edges among any r vertices
-    total_nodes = 0
-    anchor_units = 0
-    bip_results: dict[int, tuple[int, tuple[int, ...]]] = {}
-    if tri_free and cap >= 5:
-        # any set beating the non-bipartite ceiling induces a bipartite
-        # graph, which one anchored pass settles exactly for every size
-        floors = {sigma: max(_nonbipartite_ceiling(sigma),
-                             warm.get(sigma, (0, ()))[0])
-                  for sigma in range(5, cap + 1)}
-        left = budget[0]
-        bip_results = _bipartite_above_floors(g, floors, budget)
-        anchor_units = left - budget[0]
-    for sigma in range(2, cap + 1):
-        we, ww = warm.get(sigma, (0, ()))
-        nb = _nonbipartite_ceiling(sigma)
-        e, wit = we, ww
-        nodes = 0
-        settled = None
-        if tri_free and sigma >= 5:
-            if sigma in bip_results:
-                e, wit = bip_results[sigma]
-                settled = "anchor"      # improvements above nb are bipartite-only
-            elif we > nb:
-                settled = "warm"        # warm witness already proven maximal
-        if settled is None:
-            caps = [ceiling(sigma), ub_small[sigma - 1] + sigma - 1]
-            if tri_free and sigma >= 5:
-                caps.append(nb)  # bipartite range already ruled out above
-            e, wit, nodes = _max_edges_connected(
-                g, sigma, we, ww, ub_small, min(caps), rank, budget)
-            total_nodes += nodes
-            # no node at all: the warm start already reached the cap
-            settled = "bnb" if nodes else "warm"
-        settled_by[sigma] = settled
-        nodes_by_size[sigma] = nodes
-        econn[sigma] = e
-        wits[sigma] = wit
-        ub = max(e, max((ub_small[j] + ub_small[sigma - j]
-                         for j in range(1, sigma)), default=0))
-        ub_small.append(min(ub, ceiling(sigma)))
-    best = Fraction(0)
-    best_wit = wits[1] if wits[1] else (0,)
-    for sigma in range(1, cap + 1):
-        if not wits[sigma]:
-            continue
-        dens = Fraction(econn[sigma], sigma)
-        if dens > best:
-            best, best_wit = dens, wits[sigma]
-    report = DensityReport(
-        size_cap=k, density=best, witness=best_wit,
-        method="exact-branch-and-bound", optimal=True,
-        nodes_explored=total_nodes,
-        max_edges_by_size={s: econn[s] for s in sorted(econn)},
-        settled_by=settled_by, nodes_by_size=nodes_by_size,
-        anchor_units=anchor_units)
-    _check_witness(g, best, best_wit)
-    return report
-
-
 def bounded_density_scan(g: SimpleGraph, k: int, mode: str = "exact",
                          node_budget: Optional[int] = None,
                          seed: int = 0,
                          pattern: Optional[Pattern] = None) -> DensityReport:
-    """Bounded density scan: exact (k <= 12) or heuristic (any k).  The
-    forbidden ``pattern`` only tightens the exact scan's ceilings."""
+    """Max of e(A)/|A| over |A| <= k, with a witness.  Both modes start
+    from the warm record, the best edge count found per size.  Heuristic
+    mode (any k) reports the record's best ratio, a lower bound.  Exact
+    mode (k <= 12) first raises every size to its proven maximum; it raises
+    SearchBudgetExceeded if a node budget is given and the proof would need
+    more search.  The budget covers the report's nodes_explored +
+    anchor_units, so that sum always suffices.  With the forbidden
+    ``pattern`` of an H-free host, each exact size s <= 7 is also capped at
+    ex(s, H) where EXTREMAL_ROWS has H."""
     if k < 1:
         raise ValueError("size cap must be >= 1")
-    if mode == "exact":
-        return exact_bounded_scan(g, k, node_budget=node_budget, warm_seed=seed,
-                                  pattern=pattern)
-    if mode == "heuristic":
-        dens, wit = local_search_density(g, min(k, g.n), seed=seed)
-        _check_witness(g, dens, wit)
-        return DensityReport(size_cap=k, density=dens, witness=wit,
-                             method="local-search-heuristic", optimal=False)
-    raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'heuristic')")
+    if mode not in ("exact", "heuristic"):
+        raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'heuristic')")
+    exact = mode == "exact"
+    if exact and k > EXACT_CAP_LIMIT:
+        raise ValueError(f"exact mode limited to caps <= {EXACT_CAP_LIMIT}")
+    cap = min(k, g.n)
+    record = local_search_warm(g, cap, seed=seed)
+    proof = {}
+    if exact:
+        # raise every size of the warm record to its proven maximum
+        tri_free = is_triangle_free(g)
+        ex_row = extremal_row(pattern) if pattern is not None else None
+        if ex_row is not None and contains_copy(pattern, g):
+            ex_row = None           # ex(s, H) bounds only H-free hosts
+
+        def ceiling(s: int) -> int:
+            c = (s * s) // 4 if tri_free else s * (s - 1) // 2
+            return min(c, ex_row[s - 1]) if ex_row and s <= len(ex_row) else c
+
+        rank = _degeneracy_rank(g)
+        # anchor units and B&B nodes draw on one budget; without a node budget
+        # it only counts
+        budget = [sys.maxsize if node_budget is None else node_budget]
+
+        settled_by = {1: "warm"}
+        nodes_by_size = {1: 0}
+        ub_small = [0, 0]  # UB(r): sound upper bound on edges among any r vertices
+        total_nodes = 0
+        anchor_units = 0
+        bip_results: dict[int, tuple[int, tuple[int, ...]]] = {}
+        if tri_free and cap >= 5:
+            # any set beating the non-bipartite ceiling induces a bipartite
+            # graph, which one anchored pass settles exactly for every size
+            floors = {sigma: max(_nonbipartite_ceiling(sigma),
+                                 record.get(sigma, (0, ()))[0])
+                      for sigma in range(5, cap + 1)}
+            left = budget[0]
+            bip_results = _bipartite_above_floors(g, floors, budget)
+            anchor_units = left - budget[0]
+        for sigma in range(2, cap + 1):
+            we, ww = record.get(sigma, (0, ()))
+            nb = _nonbipartite_ceiling(sigma)
+            e, wit = we, ww
+            nodes = 0
+            settled = None
+            if tri_free and sigma >= 5:
+                if sigma in bip_results:
+                    e, wit = bip_results[sigma]
+                    settled = "anchor"      # improvements above nb are bipartite-only
+                elif we > nb:
+                    settled = "warm"        # warm witness already proven maximal
+            if settled is None:
+                caps = [ceiling(sigma), ub_small[sigma - 1] + sigma - 1]
+                if tri_free and sigma >= 5:
+                    caps.append(nb)  # bipartite range already ruled out above
+                e, wit, nodes = _max_edges_connected(
+                    g, sigma, we, ww, ub_small, min(caps), rank, budget)
+                total_nodes += nodes
+                # no node at all: the warm start already reached the cap
+                settled = "bnb" if nodes else "warm"
+            settled_by[sigma] = settled
+            nodes_by_size[sigma] = nodes
+            record[sigma] = (e, wit)
+            ub = max(e, max((ub_small[j] + ub_small[sigma - j]
+                             for j in range(1, sigma)), default=0))
+            ub_small.append(min(ub, ceiling(sigma)))
+        proof = dict(nodes_explored=total_nodes,
+                     max_edges_by_size={s: record[s][0] for s in sorted(record)},
+                     settled_by=settled_by, nodes_by_size=nodes_by_size,
+                     anchor_units=anchor_units)
+    best, wit = Fraction(0), (0,)
+    for size in sorted(record):
+        e, w = record[size]
+        dens = Fraction(e, size)
+        if dens > best:
+            best, wit = dens, w
+    _check_witness(g, best, wit)
+    return DensityReport(
+        size_cap=k, density=best, witness=wit,
+        method="exact-branch-and-bound" if exact else "local-search-heuristic",
+        optimal=exact, **proof)
 
 
 @dataclass

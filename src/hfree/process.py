@@ -22,7 +22,6 @@ and one bit of ``open_nbr`` says whether the missing pair is still open.
 
 from __future__ import annotations
 
-import math
 import random
 from array import array
 from dataclasses import dataclass
@@ -290,18 +289,6 @@ class EdgeSetF:
             raise ValueError(f"cannot pick {count} pairs inside {len(verts)} vertices")
         chosen = rng.sample(all_pairs, count)
         return cls.from_vertex_pairs(chosen, n, vertices=verts)
-
-    @classmethod
-    def scaled(cls, vertices: Iterable[int], c: float, n: int,
-                     rng: random.Random) -> "EdgeSetF":
-        """|F| = ceil(c * |A|) random pairs inside A; rejects infeasible c."""
-        verts = sorted(set(vertices))
-        a = len(verts)
-        want = math.ceil(c * a)
-        if want > a * (a - 1) // 2:
-            raise ValueError(
-                f"ceil(c*|A|) = {want} exceeds the {a * (a - 1) // 2} pairs in A")
-        return cls.random_in_vertex_set(verts, want, n, rng)
 
     def vertex_span(self, n: int) -> tuple[int, ...]:
         if self.vertices is not None:

@@ -94,6 +94,20 @@ def test_verify_prints_comparison_counts(capsys, monkeypatch):
     assert code == 0 and "(comparisons: closure=5 cuv=0)" in out
 
 
+@pytest.mark.parametrize("size,skipped", [("3", ["C4"]), ("2", ["C3", "C4"])])
+def test_verify_skips_closure_patterns_above_size(capsys, size, skipped):
+    code, out, err = run_cli(capsys, "verify", "--scope", "all", "--size", size,
+                             "--seeds", "1")
+    assert code == 0 and "no mismatches" in out
+    for spec in ("C3", "C4"):
+        assert (f"skip {spec}," in err) == (spec in skipped), spec
+    counts = dict(tok.split("=") for tok in
+                  out.strip().rsplit("(comparisons: ", 1)[1].rstrip(")").split())
+    assert int(counts["density"]) > 0 and int(counts["counts"]) > 0
+    # C3 still fits on three vertices
+    assert (int(counts["closure"]) > 0) == (size == "3")
+
+
 def test_verify_cuv_counts_pairs_compared():
     # C3 on 4 vertices: some runs end with no open pair and compare nothing
     n, seeds, samples = 4, 8, 3
@@ -213,13 +227,14 @@ def test_density_threshold_scans_once(tmp_path, capsys, monkeypatch):
     consts = Constants.for_run(parse_pattern("C3"), 60)
     want = density.verify_density_bound(st.graph, consts, override=(3.0, 8))
     calls = []
-    real = density.exact_bounded_scan
+    real = density._degeneracy_rank
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(density, "exact_bounded_scan", counted)
+    # the exact stage ranks the host once per scan
+    monkeypatch.setattr(density, "_degeneracy_rank", counted)
     for mode in ("exact", "heuristic"):
         calls.clear()
         code, out, _ = run_cli(capsys, "density", str(path), "--k", "8",

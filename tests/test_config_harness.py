@@ -45,7 +45,6 @@ _rationals = st.one_of(st.none(), st.builds("{}/{}".format, _small, _small),
                           .map(lambda xs: ",".join(map(str, xs)))),
     monitors=st.booleans(), cuv_samples=st.integers(0, 100),
     intersection_samples=st.integers(0, 1000),
-    slack=st.integers(0, 10**6).map(lambda k: k / 1000),
     density_k=st.integers(0, 20), density_mode=st.sampled_from(["exact", "heuristic"]),
     density_budget=st.integers(0, 10**6),
     copy_patterns=st.lists(_pattern_specs, max_size=6),
@@ -80,6 +79,8 @@ def test_config_parse_errors():
         parse_config("trials = 0\n")
     with pytest.raises(ValueError):
         parse_config("monitors = maybe\n")
+    with pytest.raises(ValueError):
+        parse_config("slack = 3\n")
     cfg = parse_config("# comment\npattern = C3\nn = 10, 20\n")
     assert cfg.n_values == [10, 20]
 

@@ -9,8 +9,7 @@ import pytest
 from hfree.density import (EXTREMAL_ROWS, POCKET_BEAM, SearchBudgetExceeded,
                            _bipartite_above_floors, _nonbipartite_ceiling,
                            bipartite_pocket_warm, bounded_density_scan,
-                           exact_bounded_scan, extremal_row, is_triangle_free,
-                           local_search_density, verify_density_bound)
+                           extremal_row, is_triangle_free, verify_density_bound)
 from hfree.graphs import SimpleGraph, iter_bits
 from hfree.oracle import naive_max_density
 from hfree.patterns import Pattern, contains_copy, parse_pattern
@@ -57,7 +56,7 @@ def test_exact_scan_matches_brute_force(seed):
     else:
         g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), seed)
     for k in (min(n, 12), 5):
-        rep = exact_bounded_scan(g, k)
+        rep = bounded_density_scan(g, k)
         assert rep.density == brute_best_density(g, k), (seed, n, k)
         assert g.induced_edge_count(rep.witness) == rep.density * len(rep.witness)
 
@@ -65,7 +64,7 @@ def test_exact_scan_matches_brute_force(seed):
 def test_max_edges_by_size_monotone():
     pet = Pattern(10, PETERSEN_EDGES).to_graph()
     for g in (random_triangle_free(20, 60, 3), pet):
-        rep = exact_bounded_scan(g, 10)
+        rep = bounded_density_scan(g, 10)
         vals = [rep.max_edges_by_size[s] for s in sorted(rep.max_edges_by_size)]
         assert vals == sorted(vals)
         # so is the density as the cap grows
@@ -100,11 +99,12 @@ def test_scan_argument_validation():
 def test_budget_exhaustion_raises():
     g = random_graph(40, 0.5, 7)
     with pytest.raises(SearchBudgetExceeded):
-        exact_bounded_scan(g, 10, node_budget=10)
+        bounded_density_scan(g, 10, node_budget=10)
 
 
-def test_local_search_density_empty_graph():
-    dens, wit = local_search_density(SimpleGraph(4), 4)
+def test_heuristic_scan_empty_graph():
+    rep = bounded_density_scan(SimpleGraph(4), 4, mode="heuristic")
+    dens, wit = rep.density, rep.witness
     assert dens == 0 and len(wit) >= 1
 
 
@@ -112,7 +112,7 @@ def test_scan_on_process_graph_small():
     c3 = parse_pattern("C3")
     st = init_process(60, c3, 0)
     run_until(st, Exhaustion())
-    rep = exact_bounded_scan(st.graph, 10)
+    rep = bounded_density_scan(st.graph, 10)
     assert rep.optimal
     assert rep.density == Fraction(23, 10)
     # on triangle-free hosts, Mantel's bound 25/10 at size 10 is met only by K5,5
@@ -233,7 +233,7 @@ def test_witness_check_raises(monkeypatch):
     monkeypatch.setattr(SimpleGraph, "induced_edge_count",
                         lambda self, vertices: -1)
     with pytest.raises(RuntimeError, match="witness"):
-        exact_bounded_scan(g, 6)
+        bounded_density_scan(g, 6)
     with pytest.raises(RuntimeError, match="witness"):
         bounded_density_scan(g, 6, mode="heuristic")
 
@@ -245,7 +245,7 @@ ROW_KEYS = {"size_cap", "density", "density_float", "witness", "method",
 def test_settle_path_on_maximal_triangle_free_host():
     st = init_process(60, parse_pattern("C3"), 0)
     run_until(st, Exhaustion())
-    rep = exact_bounded_scan(st.graph, 10)
+    rep = bounded_density_scan(st.graph, 10)
     sizes = list(range(1, 11))
     assert list(rep.settled_by) == sizes == list(rep.nodes_by_size)
     # every size is proven without a single branch-and-bound node
@@ -259,7 +259,7 @@ def test_settle_path_on_c4_free_host():
     st = init_process(30, parse_pattern("C4"), 0)
     run_until(st, Exhaustion())
     assert not is_triangle_free(st.graph)
-    rep = exact_bounded_scan(st.graph, 6)
+    rep = bounded_density_scan(st.graph, 6)
     assert "anchor" not in rep.settled_by.values()
     assert sum(rep.nodes_by_size.values()) == rep.nodes_explored > 0
     for size, path in rep.settled_by.items():
@@ -270,7 +270,7 @@ def test_settle_path_on_c4_free_host():
 
 def test_settle_paths_all_three():
     g = random_triangle_free(29, 77, 29)
-    rep = exact_bounded_scan(g, 10)
+    rep = bounded_density_scan(g, 10)
     assert rep.settled_by[7] == "anchor" and rep.nodes_by_size[7] == 0
     assert {rep.settled_by[s] for s in (8, 9, 10)} == {"bnb"}
     assert sum(rep.nodes_by_size.values()) == rep.nodes_explored
@@ -376,15 +376,57 @@ def test_pocket_warm_matches_reference():
                 (name, g.n, cap)
 
 
+def _process_host(spec, n):
+    st = init_process(n, parse_pattern(spec), 0)
+    run_until(st, Exhaustion())
+    return st.graph
+
+
+# sha256 of repr(report) for both modes, recorded before the exact and the
+# heuristic scan shared one entry point: (host, cap, pattern) -> digests.
+# The last host has sizes settled by the warm start, the anchor pass and
+# branch-and-bound.
+GOLDEN_REPORTS = {
+    "empty-4": (lambda: SimpleGraph(4), 4, None, {
+        "exact": "05891b6ba7907cd65cceea1e05a5144813c91be60354198cd8b6015a6057cb63",
+        "heuristic": "3ac80e869f6ea680b8d08a2557fc1d26d95800fd1d0ef1aa718a0f329c3fb334"}),
+    "petersen": (lambda: Pattern(10, PETERSEN_EDGES).to_graph(), 10, None, {
+        "exact": "4cd0e80b1d57ec27f5a72b1bea786954ded595328f4a24306c62ec2cebdd54be",
+        "heuristic": "a20dfe5ed7a384f46cd825ff23dcc072601a9e1e1761d691c37bff8133cc5e0f"}),
+    "c3-process-60": (lambda: _process_host("C3", 60), 10, None, {
+        "exact": "2368e1197e285614f005349ada7c3196bc1fef124d99f821f8044a80e9fee43a",
+        "heuristic": "bb68a865bc2c058902e700603021f1fe4d5045455b59b9509c78f6742fef90e0"}),
+    "c4-process-30": (lambda: _process_host("C4", 30), 6, "C4", {
+        "exact": "4212e4911317a9b90cba3cc63f9806fa017970a543c772d8d00a6927cc0a6a6c",
+        "heuristic": "72ad19aecae5620ca11e75e065c6500a133f79ed26c15a789e7619f43f7dd328"}),
+    "k4-process-20": (lambda: _process_host("K4", 20), 8, "K4", {
+        "exact": "bd66f4d9c9d9078e5bb40e9718936ca7cee1d736f064a46250c136fce8e98e41",
+        "heuristic": "4c3607d47a0a41d41bdfe726c1b782d770d860425bd9be8d292c28e0435775f1"}),
+    "triangle-free-29": (lambda: random_triangle_free(29, 77, 29), 10, None, {
+        "exact": "0eced9c24fa211cbfa0d513191b1fdd69eec786f1cb763e2f3ac2e43389c154d",
+        "heuristic": "98e312b8287bff61d1e14ee8c79e88acb143b7361356ff2115a247682dc23a96"}),
+}
+
+
+@pytest.mark.parametrize("host", sorted(GOLDEN_REPORTS))
+def test_golden_reports(host):
+    make, cap, spec, want = GOLDEN_REPORTS[host]
+    g = make()
+    pattern = parse_pattern(spec) if spec else None
+    for mode in ("exact", "heuristic"):
+        rep = bounded_density_scan(g, cap, mode=mode, pattern=pattern)
+        assert hashlib.sha256(repr(rep).encode()).hexdigest() == want[mode], mode
+
+
 def test_node_budget_covers_nodes_and_anchor_units():
     # the anchor pass spends budget that nodes_explored does not count
     g = random_triangle_free(29, 77, 29)
-    rep = exact_bounded_scan(g, 10)
+    rep = bounded_density_scan(g, 10)
     assert rep.anchor_units > 0 and rep.nodes_explored > 0
     spent = rep.nodes_explored + rep.anchor_units
-    assert exact_bounded_scan(g, 10, node_budget=spent) == rep
+    assert bounded_density_scan(g, 10, node_budget=spent) == rep
     with pytest.raises(SearchBudgetExceeded):
-        exact_bounded_scan(g, 10, node_budget=spent - 1)
+        bounded_density_scan(g, 10, node_budget=spent - 1)
     assert "anchor_units" not in rep.as_row()
 
 
@@ -446,15 +488,15 @@ def test_extremal_ceiling_keeps_every_result(spec):
         g = _random_free_host(h, 7 + seed, seed)
         assert not contains_copy(h, g)
         for cap in range(1, 8):
-            plain = exact_bounded_scan(g, cap)
-            rep = exact_bounded_scan(g, cap, pattern=h)
+            plain = bounded_density_scan(g, cap)
+            rep = bounded_density_scan(g, cap, pattern=h)
             assert (rep.density, rep.witness, rep.max_edges_by_size) == \
                 (plain.density, plain.witness, plain.max_edges_by_size), (seed, cap)
             assert rep.density == brute_best_density(g, cap), (seed, cap)
             nodes["plain"] += plain.nodes_explored
             nodes["pattern"] += rep.nodes_explored
             # a scan's own spend is always a sufficient budget
-            again = exact_bounded_scan(g, cap, pattern=h,
+            again = bounded_density_scan(g, cap, pattern=h,
                                        node_budget=rep.nodes_explored + rep.anchor_units)
             assert again == rep
     assert nodes["pattern"] < nodes["plain"], nodes
@@ -466,7 +508,6 @@ def test_extremal_ceiling_skipped_on_host_with_copy(spec):
     for seed in range(3):
         g = random_graph(12, 0.7, seed)
         assert contains_copy(h, g)
-        plain = exact_bounded_scan(g, 7)
+        plain = bounded_density_scan(g, 7)
         assert plain.nodes_explored > 0
-        assert exact_bounded_scan(g, 7, pattern=h) == plain
         assert bounded_density_scan(g, 7, pattern=h) == plain

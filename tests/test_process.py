@@ -387,10 +387,6 @@ def test_edge_set_f_constructors():
     assert f.vertex_span(10) == (1, 3, 5, 7)
     with pytest.raises(ValueError):
         EdgeSetF.random_in_vertex_set([1, 2, 3], 4, 10, rng)
-    with pytest.raises(ValueError):
-        EdgeSetF.scaled([1, 2, 3, 4], 100.0, 10, rng)
-    f2 = EdgeSetF.scaled(range(8), 1.5, 10, rng)
-    assert len(f2.pairs) == 12  # ceil(1.5 * 8)
 
 
 def _trajectory_digests(spec, n, seed):
