@@ -147,15 +147,11 @@ def bipartite_pocket_warm(g: SimpleGraph, cap: int,
     adj = g.adj
     best: dict[int, tuple[int, tuple[int, ...]]] = {}
     top_e = [0] * (cap + 1)         # best[sigma][0], 0 while unset
+    need = [1] * cap + [n]          # least |common| at which s rows better top_e
 
     def offer(left: list[int], common: int, size: int) -> None:
         s = len(left)
         tmax = min(size, cap - s)
-        for t in range(1, tmax + 1):
-            if s * t > top_e[s + t]:
-                break
-        else:
-            return
         rs = []
         m = common
         while len(rs) < tmax:
@@ -166,11 +162,14 @@ def bipartite_pocket_warm(g: SimpleGraph, cap: int,
             if s * t > top_e[s + t]:
                 top_e[s + t] = s * t
                 best[s + t] = (s * t, tuple(sorted(left + rs[:t])))
+        for r in range(1, cap):
+            need[r] = next((t for t in range(1, cap - r + 1) if r * t > top_e[r + t]), n)
 
     for u in range(n):
         au = adj[u]
         size = au.bit_count()
-        offer([u], au, size)
+        if size >= need[1]:
+            offer([u], au, size)
         two_hop = 0
         for c in iter_bits(au):
             two_hop |= adj[c]
@@ -213,7 +212,8 @@ def bipartite_pocket_warm(g: SimpleGraph, cap: int,
                         left2 = left + [w]
                         com2 = common & adj[w]
                         size2 = com2.bit_count()
-                        offer(left2, com2, size2)
+                        if size2 >= need[len(left2)]:
+                            offer(left2, com2, size2)
                         nxt.append((left2, com2, size2, qual))
             # every left side in nxt has the same length, so |common| alone
             # orders the entries by the edge count of their full pocket
@@ -641,13 +641,13 @@ def bounded_density_scan(g: SimpleGraph, k: int, mode: str = "exact",
     if exact:
         # raise every size of the warm record to its proven maximum
         tri_free = is_triangle_free(g)
+        ceiling = [s * s // 4 if tri_free else s * (s - 1) // 2 for s in range(cap + 1)]
         ex_row = extremal_row(pattern) if pattern is not None else None
-        if ex_row is not None and contains_copy(pattern, g):
-            ex_row = None           # ex(s, H) bounds only H-free hosts
-
-        def ceiling(s: int) -> int:
-            c = (s * s) // 4 if tri_free else s * (s - 1) // 2
-            return min(c, ex_row[s - 1]) if ex_row and s <= len(ex_row) else c
+        # ex(s, H) bounds only H-free hosts; the copy search runs only when
+        # some row entry up to the cap is below the default ceiling
+        if (ex_row and any(map(int.__lt__, ex_row, ceiling[1:]))
+                and not contains_copy(pattern, g)):
+            ceiling[1:len(ex_row) + 1] = map(min, ceiling[1:], ex_row)
 
         rank = _degeneracy_rank(g)
         # anchor units and B&B nodes draw on one budget; without a node budget
@@ -682,7 +682,7 @@ def bounded_density_scan(g: SimpleGraph, k: int, mode: str = "exact",
                 elif we > nb:
                     settled = "warm"        # warm witness already proven maximal
             if settled is None:
-                caps = [ceiling(sigma), ub_small[sigma - 1] + sigma - 1]
+                caps = [ceiling[sigma], ub_small[sigma - 1] + sigma - 1]
                 if tri_free and sigma >= 5:
                     caps.append(nb)  # bipartite range already ruled out above
                 e, wit, nodes = _max_edges_connected(
@@ -695,7 +695,7 @@ def bounded_density_scan(g: SimpleGraph, k: int, mode: str = "exact",
             record[sigma] = (e, wit)
             ub = max(e, max((ub_small[j] + ub_small[sigma - j]
                              for j in range(1, sigma)), default=0))
-            ub_small.append(min(ub, ceiling(sigma)))
+            ub_small.append(min(ub, ceiling[sigma]))
         proof = dict(nodes_explored=total_nodes,
                      max_edges_by_size={s: record[s][0] for s in sorted(record)},
                      settled_by=settled_by, nodes_by_size=nodes_by_size,

@@ -222,9 +222,10 @@ def _run_plan(parents: Sequence[tuple[int, ...]], adj: list[int],
     position but the last is filled by iterative backtracking, each with an
     unused host vertex adjacent to the images of its ``parents`` (any unused
     vertex when it has none).  Per partial embedding the generator yields
-    the last position's candidate mask; ``img`` stays valid below the last
-    position until the generator resumes.  When ``start`` already covers
-    every position, the one candidate is the last position's own image."""
+    the last position's candidate mask unless it is empty; ``img`` stays
+    valid below the last position until the generator resumes.  When
+    ``start`` already covers every position, the one candidate is the last
+    position's own image."""
     last = len(parents) - 1
     if start > last:
         yield 1 << img[last]
@@ -241,7 +242,8 @@ def _run_plan(parents: Sequence[tuple[int, ...]], adj: list[int],
         else:
             cand = ((1 << len(adj)) - 1) & ~used
         if i == last:
-            yield cand
+            if cand:
+                yield cand
             cand = 0
         while not cand:             # back up to an untried candidate
             i -= 1
@@ -324,7 +326,7 @@ class ClosureTemplate:
     fixing f maps E(H) - f onto itself, and an automorphism of H - f fixing
     {f0, f1} maps E(H - f) + f onto itself."""
 
-    __slots__ = ("base", "missing_pair", "anchor_roles", "_plans")
+    __slots__ = ("base", "missing_pair", "anchor_roles", "_plans", "_folds")
 
     def __init__(self, base: Pattern, missing_pair: tuple[int, int],
                  anchor_roles: tuple[int, ...]):
@@ -338,14 +340,28 @@ class ClosureTemplate:
         # closed pairs are its candidates masked by the open neighbours of
         # the other endpoint, whose position is leaf_other; otherwise
         # (leaf_other = -1) both endpoints are placed earlier and the last
-        # level only has to be non-empty.
+        # level only has to be non-empty.  _folds has each plan as the scan
+        # runs it: the plan but its last position L, L's parents but L-1,
+        # whether L-1 is one, whether the missing pair has an end at L-1,
+        # the closed pair's positions (bp = -1: L's candidates), and 1
+        # anchor orientation if a base automorphism fixing the missing pair
+        # swaps the anchor edge's ends, else 2.
         self._plans = []
+        self._folds = []
         for role in anchor_roles:
-            order = _extension_order(base, base.edges[role])
+            a, b = base.edges[role]
+            order = _extension_order(base, (a, b))
             mp = (order.index(missing_pair[0]), order.index(missing_pair[1]))
             last = len(order) - 1
             leaf_other = mp[1] if mp[0] == last else mp[0] if mp[1] == last else -1
-            self._plans.append((_compile_plan(base, order), mp, leaf_other))
+            parents = _compile_plan(base, order)
+            self._plans.append((parents, mp, leaf_other))
+            swap = any(e[a] == b and {e[v] for v in missing_pair} == set(missing_pair)
+                       for e in enumerate_embeddings(base, base.to_graph(), (role, (a, b))))
+            self._folds.append((parents[:-1],
+                                tuple(p for p in parents[last] if p != last - 1),
+                                last - 1 in parents[last], last - 1 in mp,
+                                *((leaf_other, -1) if leaf_other >= 0 else mp), 2 - swap))
 
 
 def _edge_orbits(perms: list[tuple[int, ...]],

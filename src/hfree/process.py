@@ -10,14 +10,17 @@ rebuilt from the masks, in id order, once over half of it is dead.
 
 The classification is two bitmasks per vertex: bit v of ``graph.adj[u]`` is
 set iff uv is an edge, bit v of ``open_nbr[u]`` iff uv is open, and a pair
-with neither bit is closed.  The closure scan runs each compiled plan
-through the plan executor ``patterns._run_plan``, which fills every
-position but the last, and finishes each partial embedding with one mask
-operation on the last position's candidates: when the last position is an
-endpoint of the missing pair, the pairs closed through that partial
-embedding are exactly its candidate set ANDed with the open neighbours of
-the other endpoint; otherwise the candidate set only has to be non-empty
-and one bit of ``open_nbr`` says whether the missing pair is still open.
+with neither bit is closed.  The closure scan runs each compiled plan but
+its last position L through the plan executor ``patterns._run_plan``, which
+yields the candidates of position L-1, and finishes both levels with mask
+operations: L's candidates are the AND of ``adj`` over its placed parents,
+minus the placed images.  When the closed pair has an end at L-1, each
+candidate c of L-1 is finished in turn; otherwise all of them at once,
+through the union of their ``adj`` masks.  The pairs closed are L's
+candidates ANDed with the open neighbours of the pair's other end, or, when
+L is not an end, the one missing pair if L has a candidate and its
+``open_nbr`` bit is set.  The scan returns a partner mask per vertex, and
+``_retire`` clears each mask with one AND against ``open_nbr``.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import compress, count
-from typing import Collection, Iterable, Iterator, Optional, Union
+from itertools import compress, count, starmap
+from typing import Iterable, Iterator, Optional, Union
 
 from .graphs import (SimpleGraph, pair_count, pair_from_index, pair_index,
                      pair_row_offsets)
@@ -82,8 +85,8 @@ class ProcessState:
         self.step = 0
         self.last_step: Optional[tuple[int, int, int]] = None  # (u, v, closed)
         self.stopped_early = False
-        self._plans = [plan for tmpl in closure_templates(pattern)
-                       for plan in tmpl._plans]
+        self._folds = [fold for tmpl in closure_templates(pattern)
+                       for fold in tmpl._folds]
         self._off = pair_row_offsets(n)
 
     # -- bookkeeping ------------------------------------------------------
@@ -132,47 +135,74 @@ class ProcessState:
             picks[self.draw_open(rng)] = None
         return list(picks)
 
-    def _retire(self, pairs: Collection[tuple[int, int]]) -> None:
-        """Clear both mask bits of each open pair in ``pairs`` (once each)."""
+    def _retire(self, a: int, mask: int) -> int:
+        """Clear both mask bits of each pair {a, w}, w in ``mask``, that is
+        still open; return how many pairs that closed."""
         open_nbr = self.open_nbr
-        for u, v in pairs:
-            open_nbr[u] ^= 1 << v
-            open_nbr[v] ^= 1 << u
-        self._open -= len(pairs)
+        m = mask = mask & open_nbr[a]
+        open_nbr[a] ^= mask
+        while m:
+            w = m.bit_length() - 1
+            m ^= 1 << w
+            open_nbr[w] ^= 1 << a
+        self._open -= mask.bit_count()
+        return mask.bit_count()
+
+    def _pair_ids(self, masks: dict[int, int]) -> set[int]:
+        """Pair ids of the pairs {a, w}, w in ``masks[a]``."""
+        off = self._off
+        ids: set[int] = set()
+        add = ids.add
+        for a, m in masks.items():
+            row = off[a] - a - 1
+            while m:
+                w = m.bit_length() - 1
+                m ^= 1 << w
+                add(row + w if a < w else off[w] + a - w - 1)
+        return ids
 
     # -- the step ---------------------------------------------------------
 
-    def _closure_scan(self, x: int, y: int) -> dict[int, tuple[int, int]]:
+    def _closure_scan(self, x: int, y: int) -> dict[int, int]:
         """Currently-open pairs that some template base embedding anchored
-        at the edge (x, y) of the state's graph would close, as pair id ->
-        endpoints.  The graph must contain the edge (x, y)."""
+        at the edge (x, y) of the state's graph would close, as a partner
+        mask per vertex; a pair may be held at both ends.  The graph must
+        contain the edge (x, y)."""
         adj = self.graph.adj
         open_nbr = self.open_nbr
-        off = self._off
-        out: dict[int, tuple[int, int]] = {}
-        for parents, (mp0, mp1), leaf_other in self._plans:
-            img = [0] * len(parents)
-            for hx, hy in ((x, y), (y, x)):
-                img[0] = hx
-                img[1] = hy
-                for cand in _run_plan(parents, adj, img, (1 << hx) | (1 << hy), 2):
-                    if leaf_other >= 0:
-                        a = img[leaf_other]
-                        hits = cand & open_nbr[a]
-                        while hits:
-                            lsb = hits & -hits
-                            w = lsb.bit_length() - 1
-                            hits ^= lsb
-                            if a < w:
-                                out[off[a] + w - a - 1] = (a, w)
-                            else:
-                                out[off[w] + a - w - 1] = (a, w)
-                    elif cand:
-                        a, b = img[mp0], img[mp1]
-                        if (open_nbr[a] >> b) & 1:
-                            if a > b:
-                                a, b = b, a
-                            out[off[a] + b - a - 1] = (a, b)
+        out: dict[int, int] = {}
+        for head, rest, adjc, per_c, ap, bp, ways in self._folds:
+            cp = len(head) - 1                  # position L-1
+            img = [0] * (cp + 2)
+            for hx, hy in ((x, y), (y, x))[:ways]:
+                img[0], img[1] = hx, hy
+                anchor = (1 << hx) | (1 << hy)
+                for cands in _run_plan(head, adj, img, anchor, 2):
+                    base = ~anchor
+                    for p in range(2, cp):
+                        base &= ~(1 << img[p])
+                    for p in rest:
+                        base &= adj[img[p]]
+                    while cands:
+                        # finish one image c of L-1, or all of them at once
+                        c = cands.bit_length() - 1
+                        cs = 1 << c if per_c else cands
+                        cands ^= cs
+                        if adjc:
+                            last, m = 0, cs
+                            while m:
+                                w = m.bit_length() - 1
+                                last |= adj[w]
+                                m ^= 1 << w
+                            last &= base
+                        else:
+                            last = base if cs & (cs - 1) else base & ~cs
+                        img[cp] = c
+                        a = img[ap]
+                        # L's candidates, or the missing pair's bit if any
+                        hits = open_nbr[a] & (last if bp < 0 else last and 1 << img[bp])
+                        if hits:
+                            out[a] = out.get(a, 0) | hits
         return out
 
 
@@ -188,7 +218,7 @@ def newly_closed_after(state: ProcessState, e: tuple[int, int]) -> set[int]:
     x, y = e
     if not state.graph.has_edge(x, y):
         raise ValueError(f"({x},{y}) is not an edge of the current graph")
-    return set(state._closure_scan(x, y))
+    return state._pair_ids(state._closure_scan(x, y))
 
 
 def step(state: ProcessState) -> tuple[int, int]:
@@ -201,12 +231,11 @@ def step(state: ProcessState) -> tuple[int, int]:
         del state._draw[:]          # freed first: the rebuild reads only the masks
         state._draw.extend(state._open_ids())
     u, v = state.draw_open(state.rng)
-    state._retire(((u, v),))
+    state._retire(u, 1 << v)
     state.graph.add_edge(u, v)
     state.step += 1
-    newly = state._closure_scan(u, v)
-    state._retire(newly.values())
-    state.last_step = (u, v, len(newly))
+    closed = sum(starmap(state._retire, state._closure_scan(u, v).items()))
+    state.last_step = (u, v, closed)
     return (u, v)
 
 
@@ -260,7 +289,7 @@ def compute_C_uv(state: ProcessState, uv: tuple[int, int]) -> set[int]:
     adj[u] |= 1 << v
     adj[v] |= 1 << u
     try:
-        return set(state._closure_scan(u, v))
+        return state._pair_ids(state._closure_scan(u, v))
     finally:
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
@@ -293,12 +322,7 @@ class EdgeSetF:
     def vertex_span(self, n: int) -> tuple[int, ...]:
         if self.vertices is not None:
             return self.vertices
-        touched = set()
-        for pid in self.pairs:
-            u, v = pair_from_index(pid, n)
-            touched.add(u)
-            touched.add(v)
-        return tuple(sorted(touched))
+        return tuple(sorted({w for pid in self.pairs for w in pair_from_index(pid, n)}))
 
 
 def compute_O_F(state: ProcessState, f: Union[EdgeSetF, Iterable[int]]) -> set[int]:

@@ -74,7 +74,8 @@ def test_verify_library_detects_corruption():
         # retire the lowest open pair that nothing closed: it reads as closed
         if step_no == 3:
             pid = min(state.open_pair_ids())
-            state._retire([pair_from_index(pid, state.n)])
+            u, v = pair_from_index(pid, state.n)
+            state._retire(u, 1 << v)
 
     mismatches, compared = verify_closure(n=8, seeds=1, patterns=("C3",),
                                           mutate=corrupt)

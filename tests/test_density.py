@@ -6,6 +6,7 @@ from fractions import Fraction
 import networkx
 import pytest
 
+from hfree import density
 from hfree.density import (EXTREMAL_ROWS, POCKET_BEAM, SearchBudgetExceeded,
                            _bipartite_above_floors, _nonbipartite_ceiling,
                            bipartite_pocket_warm, bounded_density_scan,
@@ -511,3 +512,31 @@ def test_extremal_ceiling_skipped_on_host_with_copy(spec):
         plain = bounded_density_scan(g, 7)
         assert plain.nodes_explored > 0
         assert bounded_density_scan(g, 7, pattern=h) == plain
+
+
+def test_copy_guard_runs_only_where_a_row_binds(monkeypatch):
+    """The contains_copy guard on the host runs only when some row entry up
+    to the cap is below the host's default ceiling; skipping it leaves the
+    report equal to the scan without the pattern."""
+    searched = []
+    real = density.contains_copy
+
+    def spy(p, g):
+        searched.append(g)
+        return real(p, g)
+
+    monkeypatch.setattr(density, "contains_copy", spy)
+    k33 = parse_pattern("K3,3")
+    tri_free = random_triangle_free(29, 77, 29)
+    # ex(s, K3,3) >= s^2/4 for every s <= 7: the row never binds here
+    assert bounded_density_scan(tri_free, 7, pattern=k33) == bounded_density_scan(tri_free, 7)
+    assert not any(g is tri_free for g in searched)
+    host = _random_free_host(k33, 12, 0)
+    assert not is_triangle_free(host)
+    # below C(s, 2) only from s = 6 on
+    assert bounded_density_scan(host, 5, pattern=k33) == bounded_density_scan(host, 5)
+    assert not any(g is host for g in searched)
+    rep = bounded_density_scan(host, 7, pattern=k33)
+    assert any(g is host for g in searched)
+    plain = bounded_density_scan(host, 7)
+    assert (rep.density, rep.max_edges_by_size) == (plain.density, plain.max_edges_by_size)

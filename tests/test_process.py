@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as hs
 from hfree.graphs import (SimpleGraph, pair_count, pair_from_index, pair_index,
                           write_edge_list)
 from hfree.oracle import naive_C_uv, naive_closed_set, naive_is_maximal_free
-from hfree.patterns import (Pattern, contains_copy, parse_pattern,
-                            validate_as_constraint)
+from hfree.patterns import (Pattern, closure_templates, contains_copy,
+                            parse_pattern, validate_as_constraint)
 from hfree.process import (CLOSED, EDGE, OPEN, RNG_ID, EdgeSetF, Exhaustion,
                            Horizon, StepCount, compute_C_uv, compute_O_F,
                            init_process, iter_process, newly_closed_after,
@@ -31,7 +31,7 @@ def step_records(state, stop):
 def force_edge(state, u, v):
     """Add uv as an edge by hand, keeping the bookkeeping but closing
     nothing."""
-    state._retire([(u, v)])
+    state._retire(u, 1 << v)
     state.graph.add_edge(u, v)
 
 
@@ -208,7 +208,9 @@ def test_newly_closed_c5_path():
 
 
 # K2,3 is the one pattern here with a plan whose last position is not an
-# endpoint of the missing pair, so it covers the scan's single-bit leaf
+# endpoint of the missing pair (a per-c single-bit fold); the fold census
+# below shows that the property test over CONSTRAINT_PATTERNS reaches every
+# fold shape
 @pytest.mark.parametrize("spec,n,seed", [("C3", 12, 0), ("C4", 12, 1),
                                          ("C5", 10, 2), ("K4", 10, 3),
                                          ("K2,3", 9, 4), ("Q3", 9, 5)])
@@ -248,6 +250,24 @@ CONSTRAINT_PATTERNS = _constraint_patterns()
 
 def test_constraint_pattern_census():
     assert len(CONSTRAINT_PATTERNS) == 25
+
+
+def test_closure_fold_census():
+    """Every reachable fold shape of the closure scan occurs among
+    CONSTRAINT_PATTERNS: (per-c or union) x (leaf or single bit) x (L-1 a
+    parent of L or not).  A per-c leaf never has L-1 as a parent of L,
+    because the missing pair joins L-1 and L.  Both one and two anchor
+    orientations occur."""
+    shapes, ways = set(), set()
+    for p in CONSTRAINT_PATTERNS:
+        for tmpl in closure_templates(p):
+            for head, rest, adjc, per_c, ap, bp, n_ways in tmpl._folds:
+                shapes.add((per_c, bp < 0, adjc))
+                ways.add(n_ways)
+    everything = {(c, leaf, adj) for c in (False, True) for leaf in (False, True)
+                  for adj in (False, True)}
+    assert shapes == everything - {(True, True, True)}
+    assert ways == {1, 2}
 
 
 @given(hs.sampled_from(CONSTRAINT_PATTERNS), hs.integers(7, 9),
@@ -299,10 +319,15 @@ def test_compute_C_uv_examples():
         compute_C_uv(st, (0, 1))  # an edge, not open
 
 
-def test_compute_C_uv_matches_oracle_and_symmetry():
+# C3 keeps five steps; the others stop about half way to exhaustion at n = 9
+@pytest.mark.parametrize("spec,steps", [("C3", 5), ("C4", 7), ("C5", 9),
+                                        ("K4", 12), ("K2,3", 10)],
+                         ids=["C3", "C4", "C5", "K4", "K2,3"])
+def test_compute_C_uv_matches_oracle_and_symmetry(spec, steps):
+    pattern = parse_pattern(spec)
     for seed in range(6):
-        st = init_process(9, C3, seed)
-        for _ in range(5):
+        st = init_process(9, pattern, seed)
+        for _ in range(steps):
             if st.is_exhausted():
                 break
             step(st)
@@ -311,7 +336,7 @@ def test_compute_C_uv_matches_oracle_and_symmetry():
         for pid in rng.sample(pool, min(4, len(pool))):
             uv = pair_from_index(pid, st.n)
             got = compute_C_uv(st, uv)
-            assert got == naive_C_uv(st.graph, C3, uv)
+            assert got == naive_C_uv(st.graph, pattern, uv)
             for xy_pid in got:
                 xy = pair_from_index(xy_pid, st.n)
                 assert pid in compute_C_uv(st, xy)
