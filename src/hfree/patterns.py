@@ -189,7 +189,8 @@ def is_strictly_two_balanced(p: Pattern) -> bool:
 
 def _extension_order(p: Pattern, start: Sequence[int]) -> list[int]:
     """Vertex order starting with ``start``, then greedily maximizing edges
-    to already-ordered vertices (ties to higher degree, then lower index)."""
+    to already-ordered vertices (ties to higher degree, then lower index),
+    so an empty ``start`` begins at the lowest vertex of maximum degree."""
     placed = list(start)
     placed_mask = 0
     for v in placed:
@@ -225,7 +226,8 @@ def _run_plan(parents: Sequence[tuple[int, ...]], adj: list[int],
     the last position's candidate mask unless it is empty; ``img`` stays
     valid below the last position until the generator resumes.  When
     ``start`` already covers every position, the one candidate is the last
-    position's own image."""
+    position's own image.  Folded callers (see ``_fold``) pass a plan
+    without its last position."""
     last = len(parents) - 1
     if start > last:
         yield 1 << img[last]
@@ -258,35 +260,6 @@ def _run_plan(parents: Sequence[tuple[int, ...]], adj: list[int],
         i += 1
 
 
-def _last_masks(p: Pattern, g: SimpleGraph,
-                anchor: Optional[tuple[int, tuple[int, int]]] = None,
-                ) -> Iterator[tuple[list[int], list[int], int]]:
-    """Run ``p``'s compiled plan over ``g``, yielding ``(order, img, cand)``
-    per partial embedding: ``img[i]`` is the host image of pattern vertex
-    ``order[i]`` for every position but the last, whose candidates are the
-    bits of ``cand``.  ``anchor`` is as in enumerate_embeddings."""
-    if p.n > g.n:
-        return
-    if anchor is None:
-        order = _extension_order(p, [max(range(p.n), key=lambda v: (p.degrees[v], -v))])
-        prefixes = [()]
-    else:
-        role, (x, y) = anchor
-        if not g.has_edge(x, y):
-            raise ValueError(f"anchor pair ({x},{y}) is not a host edge")
-        order = _extension_order(p, p.edges[role])
-        prefixes = [(x, y), (y, x)]
-    parents = _compile_plan(p, order)
-    img = [-1] * p.n
-    for pre in prefixes:
-        used = 0
-        for i, h in enumerate(pre):
-            img[i] = h
-            used |= 1 << h
-        for cand in _run_plan(parents, g.adj, img, used, len(pre)):
-            yield order, img, cand
-
-
 def enumerate_embeddings(p: Pattern, g: SimpleGraph,
                          anchor: Optional[tuple[int, tuple[int, int]]] = None,
                          ) -> Iterator[tuple[int, ...]]:
@@ -297,21 +270,79 @@ def enumerate_embeddings(p: Pattern, g: SimpleGraph,
     ``p.edges[edge_role]`` onto the host edge {x,y} are produced, in both
     orientations.  The host pair must be an edge of ``g``.
     """
-    for order, img, cand in _last_masks(p, g, anchor):
-        out = [-1] * p.n
-        for v, h in zip(order, img):
-            out[v] = h
-        for w in iter_bits(cand):
-            out[order[-1]] = w
-            yield tuple(out)
+    if p.n > g.n:
+        return
+    if anchor is None:
+        order, prefixes = _extension_order(p, ()), [()]
+    else:
+        role, (x, y) = anchor
+        if not g.has_edge(x, y):
+            raise ValueError(f"anchor pair ({x},{y}) is not a host edge")
+        order, prefixes = _extension_order(p, p.edges[role]), [(x, y), (y, x)]
+    parents = _compile_plan(p, order)
+    img, out = [-1] * p.n, [-1] * p.n
+    for pre in prefixes:
+        img[:len(pre)] = pre
+        for cand in _run_plan(parents, g.adj, img, sum(1 << h for h in pre), len(pre)):
+            for v, h in zip(order, img):
+                out[v] = h
+            for w in iter_bits(cand):
+                out[order[-1]] = w
+                yield tuple(out)
+
+
+def _fold(parents: Sequence[tuple[int, ...]]) -> tuple:
+    """A plan of two or more positions as it runs folded, with mask
+    operations finishing its last two positions L-1 and L: the plan but L,
+    L's parents but L-1, and whether L-1 is a parent of L."""
+    last = len(parents) - 1
+    return parents[:-1], tuple(q for q in parents[last] if q != last - 1), last - 1 in parents[last]
+
+
+def _fold_masks(p: Pattern, g: SimpleGraph) -> Iterator[tuple[bool, int, int]]:
+    """Run ``p``'s plan (two or more positions) folded over ``g``, yielding
+    ``(adjc, cands, base)`` per partial embedding of the positions below
+    L-1: L-1's candidates, and L's candidates before L-1 is placed."""
+    head, rest, adjc = _fold(_compile_plan(p, _extension_order(p, ())))
+    adj = g.adj
+    img = [0] * len(head)
+    for cands in _run_plan(head, adj, img, 0, 0):
+        base = (1 << g.n) - 1
+        for q in rest:
+            base &= adj[img[q]]
+        for i in range(len(head) - 1):
+            base &= ~(1 << img[i])
+        yield adjc, cands, base
 
 
 def contains_copy(p: Pattern, g: SimpleGraph) -> bool:
-    return any(cand for _, _, cand in _last_masks(p, g))
+    if p.n == 1:
+        return True
+    adj = g.adj
+    for adjc, cands, base in _fold_masks(p, g):
+        if adjc:
+            near = 0
+            while cands:
+                c = cands.bit_length() - 1
+                near |= adj[c]
+                cands ^= 1 << c
+            if base & near:
+                return True
+        elif base if cands & (cands - 1) else base & ~cands:
+            return True     # an image of L-1 that leaves L a candidate
+    return False
 
 
 def count_embeddings(p: Pattern, g: SimpleGraph) -> int:
-    return sum(cand.bit_count() for _, _, cand in _last_masks(p, g))
+    if p.n == 1:
+        return g.n
+    total = 0
+    for adjc, cands, base in _fold_masks(p, g):
+        if adjc:
+            total += sum((base & g.adj[c]).bit_count() for c in iter_bits(cands))
+        else:           # L's candidates are base less the image of L-1
+            total += cands.bit_count() * base.bit_count() - (base & cands).bit_count()
+    return total
 
 
 # ── closure templates ────────────────────────────────────────────────────
@@ -333,19 +364,14 @@ class ClosureTemplate:
         self.base = base
         self.missing_pair = missing_pair
         self.anchor_roles = anchor_roles
-        # per anchor role, for the closure scan of the process engine: the
-        # placed-neighbour positions of each plan position, the plan
-        # positions of the missing pair, and how the last level finishes.
-        # When the last position is an endpoint of the missing pair, the
-        # closed pairs are its candidates masked by the open neighbours of
-        # the other endpoint, whose position is leaf_other; otherwise
-        # (leaf_other = -1) both endpoints are placed earlier and the last
-        # level only has to be non-empty.  _folds has each plan as the scan
-        # runs it: the plan but its last position L, L's parents but L-1,
-        # whether L-1 is one, whether the missing pair has an end at L-1,
-        # the closed pair's positions (bp = -1: L's candidates), and 1
-        # anchor orientation if a base automorphism fixing the missing pair
-        # swaps the anchor edge's ends, else 2.
+        # per anchor role, for the closure scan of the process engine:
+        # _plans has the plan, the missing pair's positions, and leaf_other,
+        # the position of the pair's other end if one end is the last
+        # position L (else -1).  _folds has the plan's _fold, then whether
+        # the missing pair has an end at L-1, the closed pair's positions
+        # (bp = -1: L's candidates), and 1 anchor orientation if a base
+        # automorphism fixing the missing pair swaps the anchor edge's ends,
+        # else 2.
         self._plans = []
         self._folds = []
         for role in anchor_roles:
@@ -358,9 +384,7 @@ class ClosureTemplate:
             self._plans.append((parents, mp, leaf_other))
             swap = any(e[a] == b and {e[v] for v in missing_pair} == set(missing_pair)
                        for e in enumerate_embeddings(base, base.to_graph(), (role, (a, b))))
-            self._folds.append((parents[:-1],
-                                tuple(p for p in parents[last] if p != last - 1),
-                                last - 1 in parents[last], last - 1 in mp,
+            self._folds.append((*_fold(parents), last - 1 in mp,
                                 *((leaf_other, -1) if leaf_other >= 0 else mp), 2 - swap))
 
 

@@ -14,7 +14,7 @@ import sys
 from typing import Callable, Optional
 
 from .graphs import SimpleGraph
-from .patterns import count_automorphisms, count_embeddings, parse_pattern
+from .patterns import contains_copy, count_automorphisms, count_embeddings, parse_pattern
 from .density import bounded_density_scan
 from .oracle import (naive_C_uv, naive_closed_set, naive_count_copies,
                      naive_is_maximal_free, naive_max_density)
@@ -93,24 +93,24 @@ def _random_graph(n: int, p: float, rng: random.Random) -> SimpleGraph:
 
 
 def verify_density(n: int = 10, seeds: int = 20) -> tuple[list[str], int]:
-    """Exact density scans vs the subset-enumeration oracle on a random
-    graph and a maximal triangle-free one (the C3 process run to
-    exhaustion, where the pocket warm start and the bipartite anchor pass
-    do the work) per seed; the heuristic scan must stay at or below the
-    oracle."""
+    """Exact density scans vs the subset-enumeration oracle per seed on a
+    random graph and on the C3 and C4 processes run to exhaustion, each
+    scanned with its pattern (the pocket warm start and the bipartite
+    anchor pass settle the C3 host, ex(s, C4) rows cap the C4 host); the
+    heuristic scan must stay at or below the oracle."""
     mismatches = []
     compared = 0
-    c3 = parse_pattern("C3")
     for seed in range(seeds):
         rng = random.Random(seed)
-        hosts = [("random", _random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng))]
-        if n >= 3:          # the C3 process needs three vertices
-            state = init_process(n, c3, seed)
-            run_until(state, Exhaustion())
-            hosts.append(("C3-process", state.graph))
-        for host, g in hosts:
+        hosts = [("random", _random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng), None)]
+        for h in map(parse_pattern, ("C3", "C4")):
+            if n >= h.n:    # the H process needs as many vertices as H
+                state = init_process(n, h, seed)
+                run_until(state, Exhaustion())
+                hosts.append((f"{h.name}-process", state.graph, h))
+        for host, g, h in hosts:
             want, _ = naive_max_density(g)
-            report = bounded_density_scan(g, min(n, 12), mode="exact")
+            report = bounded_density_scan(g, min(n, 12), mode="exact", pattern=h)
             if report.density != want:
                 mismatches.append(
                     f"density scan mismatch: host={host} n={n} seed={seed}: "
@@ -127,7 +127,7 @@ def verify_density(n: int = 10, seeds: int = 20) -> tuple[list[str], int]:
 def verify_counts(n: int = 10, seeds: int = 10,
                   patterns: tuple[str, ...] = DEFAULT_COUNT_PATTERNS,
                   ) -> tuple[list[str], int]:
-    """Embedding counts / aut vs the naive copy counter on random hosts."""
+    """Embedding counts / aut and copy detection vs the naive copy counter."""
     mismatches = []
     compared = 0
     for seed in range(seeds):
@@ -136,12 +136,13 @@ def verify_counts(n: int = 10, seeds: int = 10,
         for spec in patterns:
             pattern = parse_pattern(spec)
             fast = count_embeddings(pattern, g) // count_automorphisms(pattern)
+            found = contains_copy(pattern, g)
             want = naive_count_copies(pattern, g)
             compared += 1
-            if fast != want:
+            if fast != want or found != (want > 0):
                 mismatches.append(
                     f"copy count mismatch: pattern={spec} n={n} seed={seed}: "
-                    f"fast {fast} vs oracle {want}")
+                    f"fast {fast} (copy found: {found}) vs oracle {want}")
     return mismatches, compared
 
 

@@ -123,10 +123,11 @@ def test_verify_cuv_counts_pairs_compared():
 
 
 def test_verify_density_covers_triangle_free_hosts():
-    # a random host and a maximal triangle-free one per seed, exact and
-    # heuristic scans each
-    assert verify_density(n=8, seeds=2) == ([], 8)
-    # below three vertices there is no C3 process, only the random host
+    # a random host and maximal triangle-free and C4-free ones per seed,
+    # exact and heuristic scans each
+    assert verify_density(n=8, seeds=2) == ([], 12)
+    # the C4 process needs four vertices, the C3 process three
+    assert verify_density(n=3, seeds=2) == ([], 8)
     assert verify_density(n=2, seeds=2) == ([], 4)
 
 

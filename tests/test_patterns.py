@@ -5,8 +5,10 @@ import networkx
 import pytest
 
 from hfree.graphs import SimpleGraph
-from hfree.oracle import _automorphisms, naive_count_copies
-from hfree.patterns import (Pattern, closure_templates, contains_copy,
+from hfree.oracle import (COPY_PATTERN_LIMIT, _adj_sets, _automorphisms,
+                          _extensions, naive_count_copies)
+from hfree.patterns import (Pattern, _compile_plan, _extension_order, _fold,
+                            closure_templates, contains_copy,
                             count_automorphisms, count_embeddings,
                             enumerate_embeddings, is_strictly_two_balanced,
                             parse_pattern, two_density,
@@ -183,6 +185,48 @@ def test_c5_copies_in_petersen(petersen):
     c5 = parse_pattern("C5")
     g = petersen.to_graph()
     assert count_embeddings(c5, g) // count_automorphisms(c5) == 12
+
+
+# The folded search runs a plan without its last position L and finishes
+# L-1 and L with mask operations; these specs cover every finishing shape,
+# K1 and K2 (fewer than three positions), and disconnected patterns.
+FOLD_SPECS = ("C3", "C4", "C5", "C6", "K4", "K5", "K1,3", "K2,3", "K3,3", "Q3",
+              "K1", "K2", "edges:1-2,3-4", "edges:1-2,2-3,4-5", "edges:1-3",
+              "edges:1-2,2-3,3-4")
+
+
+def _oracle_embeddings(p, g):
+    """naive_count_copies x aut, by the oracle's extender itself past the
+    oracle's copy-pattern limit (Q3)."""
+    if p.n <= COPY_PATTERN_LIMIT:
+        return naive_count_copies(p, g) * len(_automorphisms(p))
+    return sum(1 for _ in _extensions(p, _adj_sets(g), {}))
+
+
+def test_fold_shape_census():
+    """L-1 a parent of L with and without other parents of L, and L-1 not
+    a parent of L with and without other parents, all occur in FOLD_SPECS."""
+    shapes = set()
+    for spec in FOLD_SPECS:
+        p = parse_pattern(spec)
+        if p.n >= 2:
+            _, rest, adjc = _fold(_compile_plan(p, _extension_order(p, ())))
+            shapes.add((adjc, bool(rest)))
+    assert shapes == {(a, r) for a in (False, True) for r in (False, True)}
+
+
+@pytest.mark.parametrize("spec", FOLD_SPECS)
+def test_folded_search_matches_oracle(spec):
+    # random hosts on 1..10 vertices, and the graphs of FOLD_SPECS: in a
+    # pattern's own graph every partial embedding has one way to finish,
+    # and a star holds no path on four vertices
+    p = parse_pattern(spec)
+    hosts = [parse_pattern(s).to_graph() for s in FOLD_SPECS]
+    hosts += [random_graph(1 + i % 10, (0.3, 0.5, 0.7)[i % 3], 700 + i) for i in range(30)]
+    for g in hosts:
+        want = _oracle_embeddings(p, g)
+        assert count_embeddings(p, g) == want, (g.n, g.edges())
+        assert contains_copy(p, g) == (want > 0), (g.n, g.edges())
 
 
 def test_anchored_enumeration_identity():
