@@ -1,13 +1,27 @@
 """Size-bounded densest-subgraph search.
 
 `bounded_density_scan` is the one entry point.  Both modes build the warm
-record, the best edge count found per size; exact mode then raises every
-size to its proven maximum, which proves max e(A)/|A| over vertex sets of
-size at most k.  Since the maximum ratio is always attained on a connected
-set (splitting a disconnected set cannot increase the ratio), the engine
-computes, for each size sigma <= k, the exact maximum edge count over
-*connected* sigma-sets by branch and bound, bootstrapping: the bound for a
-partial set A with room for r more vertices is
+record, the best edge count found per size; heuristic mode reports it as a
+flagged lower bound, and exact mode raises every size to its proven
+maximum, which proves max e(A)/|A| over vertex sets of size at most k.
+
+Warm start: a beam search over complete-bipartite pockets, then randomized
+greedy growths with swaps.  Both count for every row at once with bit
+planes (`_plane_add`, `_plane_ge`): bit w of plane i is bit i of row w's
+count of neighbours in a set, kept by a ripple carry.  In triangle-free
+hosts the pockets often reach the ceiling outright.
+
+Anchor pass: in a triangle-free host any sigma-set above the non-bipartite
+ceiling floor((sigma-1)^2/4) + 1 induces a bipartite graph with enough
+rows complete to its right side that one pass over tuples of those rows,
+anchored on their common neighbourhood, settles every size at once.  Its
+partner table reads codegrees from the same bit planes.
+
+Branch and bound: the maximum ratio is attained on a connected set
+(splitting a disconnected set cannot increase it), so each size left open
+gets the exact maximum edge count over connected sigma-sets, rooted in
+degeneracy-rank order; the host is ranked once, when a size first needs a
+node.  The bound for a partial set A with room for r more vertices is
 
     e(A) + (sum of the r largest edge-counts into A over frontier
     candidates) + UB(r)
@@ -20,22 +34,10 @@ from a small table.  The table is used only after `contains_copy` shows
 the host is H-free, so a host that holds a copy is scanned exactly as
 without the pattern.  Its rows (C4, C5, K4, K2,3, K3,3) are the maxima
 over all graphs on s vertices in the networkx graph atlas, and the tests
-recompute every entry from the atlas.  Warm starts come
-from a beam search over complete-bipartite pockets and a randomized greedy
-+ swap local search; in triangle-free hosts the pockets frequently reach
-the ceiling outright, which ends that size's search immediately.  Each
-beam entry keeps its candidate rows as a pool bitmask and scores them all
-at once: bit planes, summed with a ripple carry over the entry's common
-neighbourhood, hold every row's count of common neighbours.
+recompute every entry from the atlas.
 
-In a triangle-free host any sigma-set above the non-bipartite ceiling
-floor((sigma-1)^2/4) + 1 induces a bipartite graph, and such a set has
-enough rows complete to its right side that one pass over tuples of those
-complete rows (anchored on their common neighbourhood) settles every size
-at once.  The report records, per size, which stage proved the maximum:
-the warm start, this anchor pass or branch-and-bound.
-
-Heuristic mode reports the warm record alone, flagged as a lower bound.
+The report records, per size, which stage proved the maximum: the warm
+start, the anchor pass or branch-and-bound.
 """
 
 from __future__ import annotations
@@ -128,6 +130,38 @@ def extremal_row(p: Pattern) -> Optional[tuple[int, ...]]:
 
 # ── warm starts ──────────────────────────────────────────────────────────
 
+def _plane_add(planes: list[int], adj: list[int], rows: int) -> list[int]:
+    """Add adj[c] for every c in rows into the bit planes and return them:
+    bit w of planes[i] is bit i of row w's count, |N(w) & rows| when the
+    planes start empty, kept by a ripple carry."""
+    while rows:
+        lsb = rows & -rows
+        x = adj[lsb.bit_length() - 1]
+        rows ^= lsb
+        for i, p in enumerate(planes):
+            planes[i] = p ^ x
+            x &= p
+            if not x:
+                break
+        else:
+            planes.append(x)
+    return planes
+
+
+def _plane_ge(planes: list[int], k: int) -> int:
+    """The rows whose bit-sliced count is at least k (every row, as -1,
+    when k is 0), by a comparison from the top plane down."""
+    if k.bit_length() > len(planes):
+        return 0
+    above, equal = 0, -1
+    for i in range(len(planes) - 1, -1, -1):
+        if k >> i & 1:
+            equal &= planes[i]
+        else:
+            above |= equal & planes[i]
+    return above | equal
+
+
 def bipartite_pocket_warm(g: SimpleGraph, cap: int,
                           ) -> dict[int, tuple[int, tuple[int, ...]]]:
     """Beam search for complete-bipartite pockets K_{s,t}; returns, per
@@ -140,14 +174,22 @@ def bipartite_pocket_warm(g: SimpleGraph, cap: int,
     qualifying set.  An entry counts |N(w) & C| for every row w at once:
     adding adj[c] for each c in C into bit planes with a ripple carry
     leaves bit i of that count in bit w of plane i.  The qualifying rows
-    are the pool rows set in some plane above the first, and the children
-    are the POCKET_BEAM of them with the highest count, ties to the highest
-    row, found by a descent over the planes."""
+    are the pool rows with a count of at least two, and the children are
+    the POCKET_BEAM of them with the highest count, ties to the highest
+    row, found by a descent over the planes.
+
+    An entry with s left rows is dead when |C| < live[s] = min(need[s+1:]):
+    C only shrinks down the beam and need never falls, so no descendant
+    can offer.  Dead entries are dropped when appended and skipped when
+    processed.  An entry still live when its level ends has |C| above every
+    dropped one, so it sorts ahead of them; the beam processes the same
+    live entries in the same order and makes the same offers."""
     n = g.n
     adj = g.adj
     best: dict[int, tuple[int, tuple[int, ...]]] = {}
     top_e = [0] * (cap + 1)         # best[sigma][0], 0 while unset
     need = [1] * cap + [n]          # least |common| at which s rows better top_e
+    live = [1] * (cap - 1) + [n]    # live[s] = min(need[s + 1:])
 
     def offer(left: list[int], common: int, size: int) -> None:
         s = len(left)
@@ -164,6 +206,7 @@ def bipartite_pocket_warm(g: SimpleGraph, cap: int,
                 best[s + t] = (s * t, tuple(sorted(left + rs[:t])))
         for r in range(1, cap):
             need[r] = next((t for t in range(1, cap - r + 1) if r * t > top_e[r + t]), n)
+        live[:] = [min(need[r + 1:]) for r in range(cap)]
 
     for u in range(n):
         au = adj[u]
@@ -178,25 +221,10 @@ def bipartite_pocket_warm(g: SimpleGraph, cap: int,
         for _ in range(min(cap - 1, 5) - 1):
             nxt = []
             for left, common, size, pool in frontier:
-                if size < 2:
+                if size < max(2, live[len(left)]):
                     continue
-                planes: list[int] = []
-                m = common
-                while m:
-                    lsb = m & -m
-                    x = adj[lsb.bit_length() - 1]
-                    m ^= lsb
-                    for i, p in enumerate(planes):
-                        planes[i] = p ^ x
-                        x &= p
-                        if not x:
-                            break
-                    else:
-                        planes.append(x)
-                qual = 0
-                for p in planes[1:]:
-                    qual |= p
-                qual &= pool & ~(1 << left[-1])
+                planes = _plane_add([], adj, common)
+                qual = _plane_ge(planes, 2) & pool & ~(1 << left[-1])
                 rest = qual
                 room = POCKET_BEAM
                 while rest and room:
@@ -214,7 +242,8 @@ def bipartite_pocket_warm(g: SimpleGraph, cap: int,
                         size2 = com2.bit_count()
                         if size2 >= need[len(left2)]:
                             offer(left2, com2, size2)
-                        nxt.append((left2, com2, size2, qual))
+                        if size2 >= live[len(left2)]:
+                            nxt.append((left2, com2, size2, qual))
             # every left side in nxt has the same length, so |common| alone
             # orders the entries by the edge count of their full pocket
             nxt.sort(key=lambda it: -it[2])
@@ -225,12 +254,16 @@ def bipartite_pocket_warm(g: SimpleGraph, cap: int,
 def _greedy_grow(g: SimpleGraph, cap: int, rng: random.Random,
                  record: dict[int, tuple[int, tuple[int, ...]]]) -> None:
     """One randomized greedy growth to size cap, recording the best edge
-    count seen at every size, followed by swap sweeps at the final size."""
+    count seen at every size, followed by swap sweeps at the final size.
+    Bit planes hold |N(w) & cur| for every row w, one add per grown vertex:
+    the max-gain rows come from a descent over them, and a swap partner
+    for v is the lowest row outside cur whose count without v beats v's."""
     n = g.n
     adj = g.adj
     start = rng.randrange(n)
     cur = [start]
     cur_mask = 1 << start
+    planes = _plane_add([], adj, cur_mask)
     e = 0
 
     def offer(size: int, edges: int, mask: int) -> None:
@@ -239,47 +272,36 @@ def _greedy_grow(g: SimpleGraph, cap: int, rng: random.Random,
 
     offer(1, 0, cur_mask)
     while len(cur) < min(cap, n):
-        cand_mask = 0
-        for v in cur:
-            cand_mask |= adj[v]
-        cand_mask &= ~cur_mask
-        if not cand_mask:
+        top = _plane_ge(planes, 1) & ~cur_mask
+        if not top:
             break
-        best_gain, pool = -1, []
-        for w in iter_bits(cand_mask):
-            gain = (adj[w] & cur_mask).bit_count()
-            if gain > best_gain:
-                best_gain, pool = gain, [w]
-            elif gain == best_gain:
-                pool.append(w)
-        w = rng.choice(pool)
+        for p in reversed(planes):
+            if top & p:
+                top &= p
+        w = rng.choice(list(iter_bits(top)))
+        e += (adj[w] & cur_mask).bit_count()
         cur.append(w)
         cur_mask |= 1 << w
-        e += best_gain
+        _plane_add(planes, adj, 1 << w)
         offer(len(cur), e, cur_mask)
     # swap sweeps at the final size
     for _ in range(2):
-        improved = False
-        for v in list(cur):
+        for v in cur:
             loss = (adj[v] & cur_mask).bit_count()
-            reduced = cur_mask & ~(1 << v)
-            cand_mask = 0
-            for x in iter_bits(reduced):
-                cand_mask |= adj[x]
-            cand_mask &= ~cur_mask
-            for w in iter_bits(cand_mask):
-                gain = (adj[w] & reduced).bit_count()
-                if gain > loss:
-                    cur.remove(v)
-                    cur.append(w)
-                    cur_mask = reduced | (1 << w)
-                    e += gain - loss
-                    offer(len(cur), e, cur_mask)
-                    improved = True
-                    break
-            if improved:
+            # counts without v: a row on N(v) needs loss + 2 in the planes
+            av = adj[v]
+            up = (_plane_ge(planes, loss + 1) & ~av
+                  | _plane_ge(planes, loss + 2) & av) & ~cur_mask
+            if up:
+                w = (up & -up).bit_length() - 1
+                cur.remove(v)
+                cur.append(w)
+                cur_mask ^= 1 << v | 1 << w
+                e += (adj[w] & cur_mask).bit_count() - loss
+                offer(len(cur), e, cur_mask)
+                planes = _plane_add([], adj, cur_mask)
                 break
-        if not improved:
+        else:
             break
 
 
@@ -322,12 +344,17 @@ def _bipartite_above_floors(g: SimpleGraph, floors: dict[int, int],
     soon as the common neighbourhood C has fewer than t members.  Any two
     anchors have codegree >= t, so the next anchor always comes from the
     partner table, built once for all jobs: for each u, the v > u with
-    codeg(u, v) >= the smallest t of any job.  For M = 0 an anchor tuple
-    with |C| >= t is a K_{s,t} outright.  Otherwise the M remaining rows are
-    picked among candidates whose common-neighbourhood weight can still
-    cover the required contribution (a prefix-prunable condition); given
-    the full left side, the best R is exactly the top-t members of C by
-    left-degree.
+    codeg(u, v) >= the smallest t of any job, read from bit planes over
+    N(u).  For M = 0 an anchor tuple with |C| >= t is a K_{s,t} outright,
+    and the job ends at the lexicographically first one, T, with the t
+    least members of C as its right side.  When also s = t, the first
+    anchor's C keeps only vertices above it, and the job still ends at T:
+    were some member of C below min T, the s least members of C would be
+    an earlier tuple with T in their common neighbourhood.  For M > 0 the
+    M remaining rows are picked among candidates whose common-neighbourhood
+    weight can still cover the required contribution (a prefix-prunable
+    condition); given the full left side, the best R is exactly the top-t
+    members of C by left-degree.
 
     A job fixes r from the best value when it starts.  This stays sound as
     best rises during the job: an improving configuration then misses
@@ -356,18 +383,8 @@ def _bipartite_above_floors(g: SimpleGraph, floors: dict[int, int],
     min_t = min(t for _, _, t in jobs)
 
     # partners[u]: bit v set iff v > u and codeg(u, v) >= min_t
-    partners = [0] * n
-    for u in range(n):
-        au = adj[u]
-        two_hop = 0
-        for c in iter_bits(au):
-            two_hop |= adj[c]
-        pmask = 0
-        for v in iter_bits(two_hop >> (u + 1)):
-            v += u + 1
-            if (au & adj[v]).bit_count() >= min_t:
-                pmask |= 1 << v
-        partners[u] = pmask
+    partners = [_plane_ge(_plane_add([], adj, adj[u]), min_t) & -2 << u
+                for u in range(n)]
 
     deg = [a.bit_count() for a in adj]
 
@@ -516,7 +533,10 @@ def _bipartite_above_floors(g: SimpleGraph, floors: dict[int, int],
             return False
 
         for u in range(n):
-            if deg[u] >= t and grow([u], adj[u], partners[u]):
+            common = adj[u]
+            if extra == 0 and s == t:
+                common &= -2 << u       # one-sided: see the docstring
+            if common.bit_count() >= t and grow([u], common, partners[u]):
                 break
     return {sigma: (best[sigma], wits[sigma]) for sigma in wits}
 
@@ -547,7 +567,7 @@ def _degeneracy_rank(g: SimpleGraph) -> list[int]:
 
 def _max_edges_connected(g: SimpleGraph, sigma: int, warm_e: int,
                          warm_wit: tuple[int, ...], ub_small: list[int],
-                         ceiling: int, rank: list[int], budget: list[int],
+                         ceiling: int, rank: Optional[list[int]], budget: list[int],
                          ) -> tuple[int, tuple[int, ...], int]:
     """Exact max edge count over connected sigma-sets (>= warm), with the
     warm witness kept when nothing beats it.  Returns (e, witness, nodes)."""
@@ -649,7 +669,7 @@ def bounded_density_scan(g: SimpleGraph, k: int, mode: str = "exact",
                 and not contains_copy(pattern, g)):
             ceiling[1:len(ex_row) + 1] = map(min, ceiling[1:], ex_row)
 
-        rank = _degeneracy_rank(g)
+        rank = None     # ranked once, when branch-and-bound first has work
         # anchor units and B&B nodes draw on one budget; without a node budget
         # it only counts
         budget = [sys.maxsize if node_budget is None else node_budget]
@@ -685,6 +705,8 @@ def bounded_density_scan(g: SimpleGraph, k: int, mode: str = "exact",
                 caps = [ceiling[sigma], ub_small[sigma - 1] + sigma - 1]
                 if tri_free and sigma >= 5:
                     caps.append(nb)  # bipartite range already ruled out above
+                if rank is None and we < min(caps):
+                    rank = _degeneracy_rank(g)
                 e, wit, nodes = _max_edges_connected(
                     g, sigma, we, ww, ub_small, min(caps), rank, budget)
                 total_nodes += nodes

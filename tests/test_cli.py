@@ -229,14 +229,14 @@ def test_density_threshold_scans_once(tmp_path, capsys, monkeypatch):
     consts = Constants.for_run(parse_pattern("C3"), 60)
     want = density.verify_density_bound(st.graph, consts, override=(3.0, 8))
     calls = []
-    real = density._degeneracy_rank
+    real = density.is_triangle_free
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    # the exact stage ranks the host once per scan
-    monkeypatch.setattr(density, "_degeneracy_rank", counted)
+    # the exact stage tests the host for triangles once per scan
+    monkeypatch.setattr(density, "is_triangle_free", counted)
     for mode in ("exact", "heuristic"):
         calls.clear()
         code, out, _ = run_cli(capsys, "density", str(path), "--k", "8",

@@ -10,7 +10,8 @@ from hfree import density
 from hfree.density import (EXTREMAL_ROWS, POCKET_BEAM, SearchBudgetExceeded,
                            _bipartite_above_floors, _nonbipartite_ceiling,
                            bipartite_pocket_warm, bounded_density_scan,
-                           extremal_row, is_triangle_free, verify_density_bound)
+                           extremal_row, is_triangle_free, local_search_warm,
+                           verify_density_bound)
 from hfree.graphs import SimpleGraph, iter_bits
 from hfree.oracle import naive_max_density
 from hfree.patterns import Pattern, contains_copy, parse_pattern
@@ -375,6 +376,362 @@ def test_pocket_warm_matches_reference():
         for cap in range(1, 13):
             assert bipartite_pocket_warm(g, cap) == reference_pocket_warm(g, cap), \
                 (name, g.n, cap)
+
+
+def test_plane_helpers_match_popcounts():
+    rng = random.Random(0)
+    for _ in range(60):
+        width = rng.randint(1, 70)
+        adj = [rng.getrandbits(width) for _ in range(rng.randint(1, 40))]
+        first, second = (rng.getrandbits(len(adj)) for _ in range(2))
+        planes = density._plane_add([], adj, first)
+        assert density._plane_add(planes, adj, second) is planes
+        counts = [sum(adj[c] >> w & 1 for rows in (first, second)
+                      for c in iter_bits(rows)) for w in range(width)]
+        assert [sum((p >> w & 1) << i for i, p in enumerate(planes))
+                for w in range(width)] == counts
+        every = (1 << width) - 1
+        assert density._plane_ge(planes, 0) == -1
+        # k past the widest count the planes can hold gives no row
+        for k in range(1, (1 << len(planes)) + 3):
+            want = sum(1 << w for w in range(width) if counts[w] >= k)
+            assert density._plane_ge(planes, k) & every == want, (adj, k)
+        assert density._plane_ge(planes, 1 << len(planes)) == 0
+
+
+def reference_greedy_grow(g, cap, rng, record):
+    """The greedy restart as a list scan: one popcount per candidate row at
+    every growth step and every swap."""
+    n = g.n
+    adj = g.adj
+    start = rng.randrange(n)
+    cur = [start]
+    cur_mask = 1 << start
+    e = 0
+
+    def offer(size, edges, mask):
+        if edges > record.get(size, (-1, ()))[0]:
+            record[size] = (edges, tuple(iter_bits(mask)))
+
+    offer(1, 0, cur_mask)
+    while len(cur) < min(cap, n):
+        cand_mask = 0
+        for v in cur:
+            cand_mask |= adj[v]
+        cand_mask &= ~cur_mask
+        if not cand_mask:
+            break
+        best_gain, pool = -1, []
+        for w in iter_bits(cand_mask):
+            gain = (adj[w] & cur_mask).bit_count()
+            if gain > best_gain:
+                best_gain, pool = gain, [w]
+            elif gain == best_gain:
+                pool.append(w)
+        w = rng.choice(pool)
+        cur.append(w)
+        cur_mask |= 1 << w
+        e += best_gain
+        offer(len(cur), e, cur_mask)
+    # swap sweeps at the final size
+    for _ in range(2):
+        improved = False
+        for v in list(cur):
+            loss = (adj[v] & cur_mask).bit_count()
+            reduced = cur_mask & ~(1 << v)
+            cand_mask = 0
+            for x in iter_bits(reduced):
+                cand_mask |= adj[x]
+            cand_mask &= ~cur_mask
+            for w in iter_bits(cand_mask):
+                gain = (adj[w] & reduced).bit_count()
+                if gain > loss:
+                    cur.remove(v)
+                    cur.append(w)
+                    cur_mask = reduced | (1 << w)
+                    e += gain - loss
+                    offer(len(cur), e, cur_mask)
+                    improved = True
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+
+
+def reference_local_search_warm(g, cap, seed=0):
+    record = reference_pocket_warm(g, cap)
+    record.setdefault(1, (0, (0,)))
+    rng = random.Random(seed)
+    for _ in range(density.WARM_RESTARTS):
+        reference_greedy_grow(g, cap, rng, record)
+    return record
+
+
+def reference_above_floors(g, floors, budget=None):
+    """The anchor pass as it was before the one-sided K_{s,s} anchoring:
+    every anchor tuple anchors on its whole common neighbourhood, and the
+    partner table takes one popcount per two-hop pair."""
+    n = g.n
+    adj = g.adj
+    best = dict(floors)
+    wits = {}
+    jobs = []   # (sigma, s, t)
+    for sigma, floor in floors.items():
+        for s in range(2, sigma // 2 + 1):
+            t = sigma - s
+            if s * t <= floor:
+                continue
+            if s * t - (floor + 1) > s - 2:
+                raise SearchBudgetExceeded(
+                    f"bipartite anchor precondition violated at sigma={sigma}"
+                    f" split ({s},{t}) floor {floor}")
+            jobs.append((sigma, s, t))
+    if not jobs:
+        return wits
+    min_t = min(t for _, _, t in jobs)
+
+    # partners[u]: bit v set iff v > u and codeg(u, v) >= min_t
+    partners = [0] * n
+    for u in range(n):
+        au = adj[u]
+        two_hop = 0
+        for c in iter_bits(au):
+            two_hop |= adj[c]
+        pmask = 0
+        for v in iter_bits(two_hop >> (u + 1)):
+            v += u + 1
+            if (au & adj[v]).bit_count() >= min_t:
+                pmask |= 1 << v
+        partners[u] = pmask
+
+    deg = [a.bit_count() for a in adj]
+
+    def tick(sigma):
+        if budget is not None:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise SearchBudgetExceeded(
+                    f"node budget exhausted in bipartite scan at sigma={sigma}")
+
+    for sigma, s, t in jobs:
+        if s * t <= best[sigma]:
+            continue
+        extra = s * t - best[sigma] - 1     # M, fixed for this job
+        r = s - extra
+
+        def settle(anchors, common):
+            """Best completion of one anchor tuple; True ends the job."""
+            tick(sigma)
+            if extra == 0:
+                rverts = []
+                m = common
+                while len(rverts) < t:
+                    lsb = m & -m
+                    rverts.append(lsb.bit_length() - 1)
+                    m ^= lsb
+                best[sigma] = s * t
+                wits[sigma] = tuple(sorted(anchors + rverts))
+                return True
+            codeg = common.bit_count()
+            base = r * t
+            anchor_mask = 0
+            for a in anchors:
+                anchor_mask |= 1 << a
+            need = best[sigma] + 1 - base   # extra rows must supply this
+            # the strongest row has |N(w) & C| >= ceil(need/extra); such
+            # rows live in the union of codeg - ceil(need/extra) + 1
+            # lowest-degree members of C, so a lean scan over that
+            # shrunk pool bounds the top row counts (rows outside it
+            # count below the threshold and are padded in)
+            x1 = max(1, min(t, -(-need // extra)))
+            members = sorted(iter_bits(common), key=lambda c: deg[c])
+            pool_mask = 0
+            for c in members[: codeg - x1 + 1]:
+                pool_mask |= adj[c]
+            pool_mask &= ~anchor_mask
+            tops = [0] * extra
+            m = pool_mask
+            while m:
+                lsb = m & -m
+                w = lsb.bit_length() - 1
+                m ^= lsb
+                c_w = (adj[w] & common).bit_count()
+                if c_w > tops[-1]:
+                    tops[-1] = c_w
+                    tops.sort(reverse=True)
+            pad = x1 - 1
+            capped = []
+            ti = 0
+            for _ in range(extra):
+                if ti < len(tops) and tops[ti] >= pad:
+                    capped.append(min(tops[ti], t))
+                    ti += 1
+                else:
+                    capped.append(min(pad, t))
+            if base + sum(capped) <= best[sigma]:
+                return False
+            pool_mask = 0
+            for c in members:
+                pool_mask |= adj[c]
+            pool_mask &= ~anchor_mask
+            cnts = sorted((((adj[w] & common).bit_count(), w)
+                           for w in iter_bits(pool_mask)), reverse=True)
+            if base + sum(min(c, t) for c, _ in cnts[:extra]) <= best[sigma]:
+                return False
+            # enumerate the extra-row sets among candidates with enough
+            # common-neighborhood weight; given the rows, the best R is
+            # simply the top-t common neighbors scored against the full
+            # left side, so no R enumeration is needed
+            w_min = max(1, need - (extra - 1) * t)
+            cand = [(c_w, w) for c_w, w in cnts if c_w >= w_min]
+
+            def eval_rows(rows):
+                tick(sigma)
+                lmask = anchor_mask
+                for w in rows:
+                    lmask |= 1 << w
+                rowset = set(rows)
+                scores = sorted(((adj[c] & lmask).bit_count(), c)
+                                for c in members if c not in rowset)
+                if len(scores) < t:
+                    return
+                top = scores[-t:]
+                cross = sum(sc for sc, _ in top)
+                if cross > best[sigma]:
+                    best[sigma] = cross
+                    wits[sigma] = tuple(sorted(
+                        anchors + rows + [c for _, c in top]))
+
+            def pick_rows(start, rows, have):
+                if len(rows) == extra:
+                    eval_rows(rows)
+                    return
+                slots = extra - len(rows)
+                for i in range(start, len(cand) - slots + 1):
+                    c_w, w = cand[i]
+                    # prefix bound: this row plus best-case later rows
+                    rest = sum(min(c2, t) for c2, _ in cand[i + 1:i + slots])
+                    if have + min(c_w, t) + rest < best[sigma] + 1 - base:
+                        break  # cand sorted desc: later rows only weaker
+                    pick_rows(i + 1, rows + [w], have + min(c_w, t))
+
+            pick_rows(0, [], 0)
+            return s * t <= best[sigma]
+
+        def grow(anchors, common, nxt):
+            """Extend an anchor tuple by partners above its last member;
+            True ends the job."""
+            if len(anchors) == r:
+                return settle(anchors, common)
+            if len(anchors) > 1 and nxt:
+                # keep the candidates adjacent to >= t members of C;
+                # within[j]: those missing at most j of the members seen.
+                # A single anchor's C is its whole neighbourhood, too big
+                # for this; its partners already have codegree >= min_t.
+                slack = common.bit_count() - t
+                within = [nxt] * (slack + 1)
+                down = range(slack, 0, -1)
+                m = common
+                while m:
+                    lsb = m & -m
+                    x = adj[lsb.bit_length() - 1]
+                    m ^= lsb
+                    for j in down:
+                        within[j] = (within[j] & x) | within[j - 1]
+                    within[0] &= x
+                nxt = within[slack]
+            while nxt:
+                lsb = nxt & -nxt
+                v = lsb.bit_length() - 1
+                nxt ^= lsb
+                com2 = common & adj[v]
+                if com2.bit_count() >= t and grow(
+                        anchors + [v], com2, nxt & partners[v]):
+                    return True
+            return False
+
+        for u in range(n):
+            if deg[u] >= t and grow([u], adj[u], partners[u]):
+                break
+    return {sigma: (best[sigma], wits[sigma]) for sigma in wits}
+
+
+def _planted_biclique_host(n, s, seed):
+    """A random triangle-free host grown around a K_{s,s} on random
+    vertices, so its sides interleave with the rest of the labels."""
+    rng = random.Random(seed)
+    g = SimpleGraph(n)
+    side = rng.sample(range(n), 2 * s)
+    for u in side[:s]:
+        for v in side[s:]:
+            g.add_edge(u, v)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    for u, v in pairs[: 3 * n]:
+        if not g.has_edge(u, v) and not g.adj[u] & g.adj[v]:
+            g.add_edge(u, v)
+    return g
+
+
+def _scan_hosts():
+    """Random triangle-free hosts, triangle-free hosts around a planted
+    K_{s,s}, and dense random hosts with triangles."""
+    for seed in range(6):
+        rng = random.Random(seed)
+        n = rng.randint(12, 40)
+        yield f"tri-free-{seed}", random_triangle_free(n, rng.randint(2 * n, 8 * n), seed)
+        yield f"planted-{seed}", _planted_biclique_host(rng.randint(14, 36),
+                                                        2 + seed % 5, seed)
+        yield f"dense-{seed}", random_graph(rng.randint(10, 16),
+                                            rng.choice([0.5, 0.6, 0.7]), seed)
+
+
+def test_local_search_warm_matches_reference():
+    for name, g in _scan_hosts():
+        for cap in range(1, 13):
+            for seed in (0, cap):
+                assert local_search_warm(g, cap, seed) == \
+                    reference_local_search_warm(g, cap, seed), (name, cap, seed)
+
+
+def test_anchor_pass_matches_reference():
+    """Equal results and budget spent at the floors the scan uses, at the
+    non-bipartite ceilings, and one edge below the balanced K_{s,t} at
+    every size (an even size is then a one-sided K_{s,s} job)."""
+    one_sided_hits = 0
+    for name, g in _scan_hosts():
+        for cap in range(1, 13):
+            warm = local_search_warm(g, cap)
+            sizes = range(5, min(cap, g.n) + 1)
+            nb = {sigma: _nonbipartite_ceiling(sigma) for sigma in sizes}
+            for floors in (
+                    {sigma: max(nb[sigma], warm.get(sigma, (0, ()))[0]) for sigma in sizes},
+                    nb,
+                    {sigma: max(nb[sigma], (sigma // 2) * (sigma - sigma // 2) - 1)
+                     for sigma in sizes}):
+                got, want = [10 ** 9], [10 ** 9]
+                assert _bipartite_above_floors(g, floors, got) == \
+                    reference_above_floors(g, floors, want), (name, cap, floors)
+                assert got == want, (name, cap, floors)
+        s = 2 + int(name.rsplit("-", 1)[1]) % 5
+        if name.startswith("planted") and 2 * s <= 12:
+            found = _bipartite_above_floors(g, {2 * s: max(s * s - 1, _nonbipartite_ceiling(2 * s))})
+            one_sided_hits += found[2 * s][0] == s * s
+    assert one_sided_hits >= 4, one_sided_hits
+
+
+def test_degeneracy_rank_only_for_branch_and_bound(monkeypatch):
+    calls = []
+    real = density._degeneracy_rank
+    monkeypatch.setattr(density, "_degeneracy_rank",
+                        lambda g: calls.append(g) or real(g))
+    # every size settled by the warm start or the anchor pass: no rank
+    assert bounded_density_scan(_process_host("C3", 60), 10).nodes_explored == 0
+    assert calls == []
+    # sizes 8 to 10 go to branch-and-bound, which ranks the host once
+    assert bounded_density_scan(random_triangle_free(29, 77, 29), 10).nodes_explored > 0
+    assert len(calls) == 1
 
 
 def _process_host(spec, n):
