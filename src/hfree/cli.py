@@ -140,9 +140,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_density(args) -> int:
+    if args.budget < 0:
+        raise ValueError(f"--budget must be >= 0 (0 = none), got {args.budget}")
     with open(args.graph) as fh:
         g = read_edge_list(fh)
-    budget = args.budget if args.budget > 0 else None
+    budget = args.budget or None
     pattern = parse_pattern(args.pattern)
     report = bounded_density_scan(g, args.k, mode=args.mode, node_budget=budget,
                                   pattern=pattern)

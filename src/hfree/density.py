@@ -30,11 +30,11 @@ where UB(r) is a sound upper bound on the edges among any r host vertices,
 derived from the already-settled smaller sizes plus a host-level ceiling:
 Mantel's s^2/4 when the host is verified triangle-free, and, when the scan
 is given the forbidden pattern H, the extremal number ex(s, H) for s <= 7
-from a small table.  The table is used only after `contains_copy` shows
-the host is H-free, so a host that holds a copy is scanned exactly as
-without the pattern.  Its rows (C4, C5, K4, K2,3, K3,3) are the maxima
-over all graphs on s vertices in the networkx graph atlas, and the tests
-recompute every entry from the atlas.
+from a small table.  The table is used only after a copy search shows
+the host is H-free (`contains_biclique` for C4, K2,3 and K3,3, else
+`contains_copy`), so a host that holds a copy is scanned exactly as
+without the pattern.  The rows are the maxima over all graphs on s
+vertices in the networkx graph atlas, and the tests recompute every entry.
 
 The report records, per size, which stage proved the maximum: the warm
 start, the anchor pass or branch-and-bound.
@@ -126,6 +126,24 @@ def extremal_row(p: Pattern) -> Optional[tuple[int, ...]]:
         if q.n == p.n and q.edge_count == p.edge_count and contains_copy(q, g):
             return row
     return None
+
+
+def biclique_sides(p: Pattern) -> Optional[tuple[int, int]]:
+    """(s, t) when p is K_{s,t} (vertex 0's neighbours on one side, all
+    the rest on the other) with 2 <= s <= t <= s + 1, else None; a larger
+    t would add the jobs of more balanced splits of s + t."""
+    right = p.adj[0]
+    left = ((1 << p.n) - 1) & ~right
+    if any(a != (left if right >> v & 1 else right) for v, a in enumerate(p.adj)):
+        return None
+    s, t = sorted((left.bit_count(), right.bit_count()))
+    return (s, t) if 2 <= s <= t <= s + 1 else None
+
+
+def contains_biclique(g: SimpleGraph, s: int, t: int) -> bool:
+    """Whether g has a K_{s,t} subgraph, (s, t) from biclique_sides: the
+    anchor pass's (s, t) job with M = 0, alone, on any host; no budget."""
+    return s + t in _bipartite_above_floors(g, {s + t: s * t - 1})
 
 
 # ── warm starts ──────────────────────────────────────────────────────────
@@ -333,7 +351,10 @@ def _bipartite_above_floors(g: SimpleGraph, floors: dict[int, int],
     """Exact max over sigma-sets whose induced graph is bipartite with more
     than floors[sigma] edges, for triangle-free hosts with each floor at
     least the non-bipartite ceiling.  Returns {sigma: (edges, witness)} for
-    the sigmas where an improvement over the floor exists.
+    the sigmas where an improvement over the floor exists.  When every job
+    has M = 0 (below) neither condition is needed: C never meets the
+    anchors, so an anchor tuple with |C| >= t is a K_{s,t} subgraph on any
+    host, which is how `contains_biclique` uses it.
 
     Soundness: a bipartition (L, R), |L| = s <= |R| = t, with e > floor
     misses at most M = s*t - floor - 1 of its s*t cross slots, so at least
@@ -665,9 +686,10 @@ def bounded_density_scan(g: SimpleGraph, k: int, mode: str = "exact",
         ex_row = extremal_row(pattern) if pattern is not None else None
         # ex(s, H) bounds only H-free hosts; the copy search runs only when
         # some row entry up to the cap is below the default ceiling
-        if (ex_row and any(map(int.__lt__, ex_row, ceiling[1:]))
-                and not contains_copy(pattern, g)):
-            ceiling[1:len(ex_row) + 1] = map(min, ceiling[1:], ex_row)
+        if ex_row and any(map(int.__lt__, ex_row, ceiling[1:])):
+            sides = biclique_sides(pattern)
+            if not (contains_biclique(g, *sides) if sides else contains_copy(pattern, g)):
+                ceiling[1:len(ex_row) + 1] = map(min, ceiling[1:], ex_row)
 
         rank = None     # ranked once, when branch-and-bound first has work
         # anchor units and B&B nodes draw on one budget; without a node budget

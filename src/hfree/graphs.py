@@ -139,7 +139,8 @@ def pair_row_offsets(n: int) -> list[int]:
 # ── edge-list text format ───────────────────────────────────────────────
 # One edge per line, "u v" 1-based; '#'-prefixed comment lines ignored.
 # Writers emit a "# n = <count>" comment so graphs with trailing isolated
-# vertices survive a round trip; readers fall back to the max vertex label.
+# vertices survive a round trip; readers fall back to the max vertex label
+# without one, and reject a label above it.
 
 def write_edge_list(g: SimpleGraph, fh: TextIO) -> None:
     fh.write(f"# n = {g.n}\n")
@@ -149,9 +150,9 @@ def write_edge_list(g: SimpleGraph, fh: TextIO) -> None:
 
 def read_edge_list(fh: TextIO) -> SimpleGraph:
     edges: list[tuple[int, int]] = []
-    n_hint = 0
+    n_hint = None
     max_label = 0
-    for line in fh:
+    for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line:
             continue
@@ -167,8 +168,11 @@ def read_edge_list(fh: TextIO) -> SimpleGraph:
         if u < 1 or v < 1:
             raise ValueError(f"vertices are 1-based, got {line!r}")
         edges.append((u - 1, v - 1))
-        max_label = max(max_label, u, v)
-    n = max(n_hint, max_label, 1)
+        if max(u, v) > max_label:
+            max_label, label_line = max(u, v), f"line {lineno} ({line!r})"
+    if n_hint is not None and max_label > n_hint:
+        raise ValueError(f"{label_line} exceeds the header's n = {n_hint}")
+    n = max(n_hint or 0, max_label, 1)
     g = SimpleGraph(n)
     for u, v in edges:
         g.add_edge(u, v)

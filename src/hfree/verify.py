@@ -15,14 +15,14 @@ from typing import Callable, Optional
 
 from .graphs import SimpleGraph
 from .patterns import contains_copy, count_automorphisms, count_embeddings, parse_pattern
-from .density import bounded_density_scan
+from .density import biclique_sides, bounded_density_scan, contains_biclique
 from .oracle import (naive_C_uv, naive_closed_set, naive_count_copies,
                      naive_is_maximal_free, naive_max_density)
 from .process import (Exhaustion, StepCount, compute_C_uv, init_process,
                       run_until, step)
 
 DEFAULT_CLOSURE_PATTERNS = ("C3", "C4")
-DEFAULT_COUNT_PATTERNS = ("C3", "C4", "C5", "K1,3")
+DEFAULT_COUNT_PATTERNS = ("C3", "C4", "C5", "K1,3", "K2,3", "K3,3")
 
 
 def verify_closure(n: int = 12, seeds: int = 5,
@@ -127,7 +127,8 @@ def verify_density(n: int = 10, seeds: int = 20) -> tuple[list[str], int]:
 def verify_counts(n: int = 10, seeds: int = 10,
                   patterns: tuple[str, ...] = DEFAULT_COUNT_PATTERNS,
                   ) -> tuple[list[str], int]:
-    """Embedding counts / aut and copy detection vs the naive copy counter."""
+    """Embedding counts / aut and copy detection vs the naive copy counter;
+    a complete bipartite pattern's copy is also sought by contains_biclique."""
     mismatches = []
     compared = 0
     for seed in range(seeds):
@@ -137,12 +138,14 @@ def verify_counts(n: int = 10, seeds: int = 10,
             pattern = parse_pattern(spec)
             fast = count_embeddings(pattern, g) // count_automorphisms(pattern)
             found = contains_copy(pattern, g)
+            sides = biclique_sides(pattern)
+            biclique = contains_biclique(g, *sides) if sides else found
             want = naive_count_copies(pattern, g)
             compared += 1
-            if fast != want or found != (want > 0):
+            if fast != want or found != (want > 0) or biclique != found:
                 mismatches.append(
-                    f"copy count mismatch: pattern={spec} n={n} seed={seed}: "
-                    f"fast {fast} (copy found: {found}) vs oracle {want}")
+                    f"copy count mismatch: pattern={spec} n={n} seed={seed}: fast "
+                    f"{fast} (copy found: {found}, biclique: {biclique}) vs oracle {want}")
     return mismatches, compared
 
 

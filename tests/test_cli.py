@@ -86,8 +86,8 @@ def test_verify_library_detects_corruption():
 def test_verify_prints_comparison_counts(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--scope", "counts",
                            "--size", "8", "--seeds", "2")
-    # 2 hosts x 4 patterns
-    assert code == 0 and out.strip().endswith("(comparisons: counts=8)")
+    # 2 hosts x 6 patterns
+    assert code == 0 and out.strip().endswith("(comparisons: counts=12)")
     # a check that compared nothing shows as 0
     monkeypatch.setattr(cli, "run_verification",
                         lambda **kw: ([], {"closure": 5, "cuv": 0}))
@@ -190,6 +190,18 @@ def test_density_subcommand(tmp_path, capsys):
     assert data["density"] == "3/2" and data["optimal"] == 1
 
 
+def test_density_negative_budget_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "k4.edges"
+    with open(path, "w") as fh:
+        write_edge_list(parse_pattern("K4").to_graph(), fh)
+    code, out, err = run_cli(capsys, "density", str(path), "--k", "4", "--budget", "-7")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "--budget must be >= 0" in err
+    # 0 still means no budget
+    code, out, _ = run_cli(capsys, "density", str(path), "--k", "4", "--budget", "0")
+    assert code == 0 and json.loads(out)["optimal"] == 1
+
+
 def test_density_pattern_sets_the_ceiling(tmp_path, capsys):
     st = init_process(30, parse_pattern("C4"), 0)
     run_until(st, Exhaustion())
@@ -273,4 +285,4 @@ def test_density_threshold_rescan_gets_the_pattern(tmp_path, capsys, monkeypatch
 
 
 def test_full_verification_clean():
-    assert run_verification(scope="counts", size=8, seeds=2) == ([], {"counts": 8})
+    assert run_verification(scope="counts", size=8, seeds=2) == ([], {"counts": 12})

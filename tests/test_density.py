@@ -9,7 +9,8 @@ import pytest
 from hfree import density
 from hfree.density import (EXTREMAL_ROWS, POCKET_BEAM, SearchBudgetExceeded,
                            _bipartite_above_floors, _nonbipartite_ceiling,
-                           bipartite_pocket_warm, bounded_density_scan,
+                           biclique_sides, bipartite_pocket_warm,
+                           bounded_density_scan, contains_biclique,
                            extremal_row, is_triangle_free, local_search_warm,
                            verify_density_bound)
 from hfree.graphs import SimpleGraph, iter_bits
@@ -820,10 +821,10 @@ def test_extremal_row_matches_by_isomorphism():
         assert extremal_row(parse_pattern(spec)) is None, spec
 
 
-def _random_free_host(h, n, seed):
+def _random_free_host(h, n, seed, triangle_free=False):
     """Random H-free graph: pairs in random order, each kept unless it makes
-    a copy of H; stops early for one seed in four, so not every host is
-    maximal."""
+    a copy of H (or, if asked, a triangle); stops early for one seed in
+    four, so not every host is maximal."""
     rng = random.Random(seed)
     g = SimpleGraph(n)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -831,6 +832,8 @@ def _random_free_host(h, n, seed):
     if seed % 4 == 3:
         pairs = pairs[: len(pairs) // 2]
     for u, v in pairs:
+        if triangle_free and g.adj[u] & g.adj[v]:
+            continue
         bigger = g.copy()
         bigger.add_edge(u, v)
         if not contains_copy(h, bigger):
@@ -872,17 +875,18 @@ def test_extremal_ceiling_skipped_on_host_with_copy(spec):
 
 
 def test_copy_guard_runs_only_where_a_row_binds(monkeypatch):
-    """The contains_copy guard on the host runs only when some row entry up
-    to the cap is below the host's default ceiling; skipping it leaves the
-    report equal to the scan without the pattern."""
+    """The copy guard on the host, contains_biclique for K_{s,t} rows, runs
+    only when some row entry up to the cap is below the host's default
+    ceiling; skipping it leaves the report equal to the scan without the
+    pattern."""
     searched = []
-    real = density.contains_copy
+    real = density.contains_biclique
 
-    def spy(p, g):
+    def spy(g, s, t):
         searched.append(g)
-        return real(p, g)
+        return real(g, s, t)
 
-    monkeypatch.setattr(density, "contains_copy", spy)
+    monkeypatch.setattr(density, "contains_biclique", spy)
     k33 = parse_pattern("K3,3")
     tri_free = random_triangle_free(29, 77, 29)
     # ex(s, K3,3) >= s^2/4 for every s <= 7: the row never binds here
@@ -897,3 +901,75 @@ def test_copy_guard_runs_only_where_a_row_binds(monkeypatch):
     assert any(g is host for g in searched)
     plain = bounded_density_scan(host, 7)
     assert (rep.density, rep.max_edges_by_size) == (plain.density, plain.max_edges_by_size)
+    # an isomorphic edges: spec takes the same guard and gives the same report
+    calls = len(searched)
+    iso = parse_pattern("edges:1-4,1-5,1-6,2-4,2-5,2-6,3-4,3-5,3-6")
+    assert bounded_density_scan(host, 7, pattern=iso) == rep
+    assert len(searched) == calls + 1 and searched[-1] is host
+    # a C4-free host with triangles: C4 = K2,2 takes the same guard, from
+    # s = 4 on, where ex(4, C4) = 4 < C(4, 2)
+    c4 = parse_pattern("C4")
+    c4_host = _random_free_host(c4, 12, 1)
+    assert not is_triangle_free(c4_host)
+    assert bounded_density_scan(c4_host, 3, pattern=c4) == bounded_density_scan(c4_host, 3)
+    assert not any(g is c4_host for g in searched)
+    rep = bounded_density_scan(c4_host, 7, pattern=c4)
+    assert any(g is c4_host for g in searched)
+    plain = bounded_density_scan(c4_host, 7)
+    assert (rep.density, rep.max_edges_by_size) == (plain.density, plain.max_edges_by_size)
+    assert rep.nodes_explored < plain.nodes_explored
+
+
+def _plant(g, left, right):
+    g = g.copy()
+    for u in left:
+        for v in right:
+            if not g.has_edge(u, v):
+                g.add_edge(u, v)
+    return g
+
+
+def _biclique_guard_hosts(h, s, t):
+    """G(n, p) hosts at several densities, greedy and process hosts free of
+    h with and without triangles, and those hosts with a planted K_{s,t}:
+    on random vertices, with the small side above every label of the large
+    side, and with the small side below it."""
+    for seed in range(6):
+        for p in (0.15, 0.3, 0.45, 0.6):
+            yield random_graph(9 + seed, p, seed)
+    free = [_random_free_host(h, 10 + seed, seed, triangle_free=seed % 2 == 0)
+            for seed in range(6)]
+    free.append(_process_host(h.name, 40))
+    for g in free:
+        yield g
+        rng = random.Random(g.edge_count)
+        picked = rng.sample(range(g.n), s + t)
+        yield _plant(g, picked[:s], picked[s:])
+        yield _plant(g, range(g.n - s, g.n), range(t))
+        yield _plant(g, range(s), range(g.n - t, g.n))
+
+
+@pytest.mark.parametrize("s,t", [(2, 2), (2, 3), (3, 3)])
+def test_biclique_guard_matches_contains_copy(s, t):
+    """contains_biclique(g, s, t) == contains_copy(K_{s,t}, g) on every host,
+    for K_{s,t} and isomorphic relabelled specs alike."""
+    h = parse_pattern(f"K{s},{t}")
+    edges = [(u, v) for u in range(s) for v in range(s, s + t)]
+    perm = random.Random(s * t).sample(range(1, s + t + 1), s + t)
+    spec = "edges:" + ",".join(f"{perm[u]}-{perm[v]}" for u, v in edges)
+    swapped = parse_pattern(f"K{t},{s}")
+    specs = (h, swapped, parse_pattern(spec))
+    assert [biclique_sides(p) for p in specs] == [(s, t)] * 3
+    found = {True: 0, False: 0}
+    for g in _biclique_guard_hosts(h, s, t):
+        got = contains_biclique(g, s, t)
+        for p in specs:
+            assert got == contains_copy(p, g), (p, g)
+        found[got] += 1
+    assert min(found.values()) >= 10, found
+    # K2,4 and K2,5 have more balanced splits with more cross slots, whose
+    # jobs would run alongside; K3,4 has none
+    assert biclique_sides(parse_pattern("K4,3")) == (3, 4)
+    for spec in ("C3", "C5", "C6", "K4", "K1,3", "K1", "Q3", "K2,4", "K5,2",
+                 "edges:1-2,2-3,3-1,3-4", "edges:1-3,1-4,1-5,2-3,2-4,2-5,1-2"):
+        assert biclique_sides(parse_pattern(spec)) is None, spec

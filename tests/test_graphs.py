@@ -182,3 +182,14 @@ def test_edge_list_parsing():
         read_edge_list(io.StringIO("1 2 3\n"))
     with pytest.raises(ValueError):
         read_edge_list(io.StringIO("0 1\n"))
+
+
+def test_edge_list_label_above_header_is_rejected():
+    with pytest.raises(ValueError, match=r"line 3 \('1 5'\) exceeds the header's n = 3"):
+        read_edge_list(io.StringIO("# n = 3\n1 2\n1 5\n2 3\n"))
+    # the header may also follow the edges
+    with pytest.raises(ValueError, match=r"line 1 \('4 1'\)"):
+        read_edge_list(io.StringIO("4 1\n# n = 3\n"))
+    with pytest.raises(ValueError, match="n = 0"):
+        read_edge_list(io.StringIO("# n = 0\n1 2\n"))
+    assert read_edge_list(io.StringIO("# n = 3\n1 3\n")).n == 3
