@@ -42,6 +42,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.n_values:
             raise ValueError("need at least one n value")
+        if min(self.n_values) < 1:
+            raise ValueError(f"n values must be >= 1, got {min(self.n_values)}")
         if self.stop not in ("exhaustion", "horizon") and not self.stop.startswith("steps:"):
             raise ValueError(f"bad stop rule {self.stop!r}")
         if self.stop.startswith("steps:"):

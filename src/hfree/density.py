@@ -37,13 +37,14 @@ without the pattern.  The rows are the maxima over all graphs on s
 vertices in the networkx graph atlas, and the tests recompute every entry.
 
 The report records, per size, which stage proved the maximum: the warm
-start, the anchor pass or branch-and-bound.
+start, the anchor pass or branch-and-bound.  The paper's check e(A) < c|A|
+is one comparison on it (`hfree density --threshold`); with the derived
+constants it covers only |A| <= `theory.Constants.size_limit`, which is 1.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 import random
 import sys
 from dataclasses import dataclass, field
@@ -756,70 +757,3 @@ def bounded_density_scan(g: SimpleGraph, k: int, mode: str = "exact",
         method="exact-branch-and-bound" if exact else "local-search-heuristic",
         optimal=exact, **proof)
 
-
-@dataclass
-class DensityBoundReport:
-    mode: str                    # "derived" | "empirical"
-    threshold_c: float
-    size_limit: int
-    passed: bool
-    vacuous: bool
-    scan: Optional[DensityReport]
-    detail: str
-
-    def as_dict(self) -> dict:
-        d = {
-            "mode": self.mode,
-            "threshold_c": self.threshold_c,
-            "size_limit": self.size_limit,
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-            "detail": self.detail,
-        }
-        if self.scan is not None:
-            d["density"] = str(self.scan.density)
-            d["witness"] = " ".join(str(v + 1) for v in self.scan.witness)
-        return d
-
-
-def verify_density_bound(g: SimpleGraph, constants,
-                           override: Optional[tuple[float, int]] = None,
-                           node_budget: Optional[int] = None,
-                           scan: Optional[DensityReport] = None,
-                           pattern: Optional[Pattern] = None,
-                           ) -> DensityBoundReport:
-    """Check e(A) < c|A| for all A up to the size limit.
-
-    Without an override this uses the constants' own derived pair
-    (c, floor(n^d)); at desk scale that size limit degenerates to 1 and the
-    check is vacuously true (flagged).  With override=(c', k') the check is
-    an actual bounded scan against the user threshold.  ``scan`` is a
-    report already computed for ``g`` with the same budget; it is used when
-    its size cap and mode are the ones the check would scan with (exact up
-    to cap 12, heuristic above); otherwise the check scans with ``pattern``.
-    """
-    if override is None:
-        c = constants.c
-        limit = math.floor(g.n ** constants.d)
-        if limit <= 1:
-            return DensityBoundReport(
-                mode="derived", threshold_c=c, size_limit=limit,
-                passed=True, vacuous=True, scan=None,
-                detail="size limit floor(n^d) <= 1: singletons have no edges;"
-                       " check is vacuous at this scale")
-        mode = "derived"
-        k = limit
-    else:
-        c, k = override
-        mode = "empirical"
-        limit = k
-    exact = k <= EXACT_CAP_LIMIT
-    if scan is None or scan.size_cap != k or scan.optimal != exact:
-        scan = bounded_density_scan(g, k, mode="exact" if exact else "heuristic",
-                                    node_budget=node_budget, pattern=pattern)
-    passed = float(scan.density) < c
-    detail = (f"max density {scan.density} vs threshold {c}"
-              + ("" if scan.optimal else " (heuristic lower bound only)"))
-    return DensityBoundReport(mode=mode, threshold_c=float(c), size_limit=limit,
-                                passed=passed, vacuous=False, scan=scan,
-                                detail=detail)

@@ -52,10 +52,6 @@ class SimpleGraph:
         self.adj[v] |= 1 << u
         self.edge_count += 1
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.adj[v].bit_count()
-
     @property
     def degrees(self) -> list[int]:
         return [a.bit_count() for a in self.adj]
@@ -149,7 +145,8 @@ def write_edge_list(g: SimpleGraph, fh: TextIO) -> None:
 
 
 def read_edge_list(fh: TextIO) -> SimpleGraph:
-    edges: list[tuple[int, int]] = []
+    """Parse the edge-list format; an error names its line, 1-based."""
+    masks: dict[int, int] = {}      # label -> bitmask of neighbour labels
     n_hint = None
     max_label = 0
     for lineno, line in enumerate(fh, 1):
@@ -161,19 +158,24 @@ def read_edge_list(fh: TextIO) -> SimpleGraph:
             if len(body) == 2 and body[0] == "n" and body[1].isdigit():
                 n_hint = int(body[1])
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {line!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if u < 1 or v < 1:
-            raise ValueError(f"vertices are 1-based, got {line!r}")
-        edges.append((u - 1, v - 1))
-        if max(u, v) > max_label:
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"line {lineno} ({line!r}): expected two integer "
+                             f"labels 'u v'") from None
+        mu = masks.get(u, 0)
+        if u < 1 or v < 1 or u == v or (mu >> v) & 1:
+            why = ("vertices are 1-based" if u < 1 or v < 1 else
+                   "loop edge rejected" if u == v else "duplicate edge rejected")
+            raise ValueError(f"line {lineno} ({line!r}): {why}")
+        masks[u] = mu | 1 << v
+        masks[v] = masks.get(v, 0) | 1 << u
+        if u > max_label or v > max_label:
             max_label, label_line = max(u, v), f"line {lineno} ({line!r})"
     if n_hint is not None and max_label > n_hint:
         raise ValueError(f"{label_line} exceeds the header's n = {n_hint}")
-    n = max(n_hint or 0, max_label, 1)
-    g = SimpleGraph(n)
-    for u, v in edges:
-        g.add_edge(u, v)
+    g = SimpleGraph(max(n_hint or 0, max_label, 1))
+    for u, m in masks.items():
+        g.adj[u - 1] = m >> 1
+    g.edge_count = sum(m.bit_count() for m in masks.values()) // 2
     return g

@@ -187,7 +187,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
     """Run every trial of ``cfg`` into ``out_dir``.  A config that would
     fail every trial raises ValueError before anything is written."""
     cfg.validate()
-    validate_as_constraint(parse_pattern(cfg.pattern))
+    pattern = parse_pattern(cfg.pattern)
+    validate_as_constraint(pattern)
+    if max(cfg.n_values) < pattern.n:
+        raise ValueError(f"every n is smaller than the forbidden graph "
+                         f"({pattern.n} vertices); the largest is {max(cfg.n_values)}")
     for spec in cfg.copy_patterns:
         parse_pattern(spec)
     if cfg.density_mode == "exact" and cfg.density_k > EXACT_CAP_LIMIT:

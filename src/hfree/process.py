@@ -105,19 +105,20 @@ class ProcessState:
     def is_exhausted(self) -> bool:
         return not self._open
 
-    def _open_ids(self) -> Iterator[int]:
-        """Open pair ids in increasing order, read from the masks."""
-        for u, m in enumerate(self.open_nbr):
+    def _row_ids(self, masks: Iterable[int]) -> Iterator[int]:
+        """Ids of the pairs {u, v}, u < v, with bit v of ``masks[u]`` set,
+        in increasing order."""
+        for u, m in enumerate(masks):
             row = bin(m >> u + 1)[:1:-1].encode().translate(_BITS)
             yield from compress(count(self._off[u]), row)
 
     def open_pair_ids(self) -> list[int]:
-        return list(self._open_ids())
+        return list(self._row_ids(self.open_nbr))
 
     def closed_pair_ids(self) -> set[int]:
-        n, off = self.n, self._off
-        return {off[u] + v - u - 1 for u in range(n) for v in range(u + 1, n)
-                if self.class_of(u, v) == CLOSED}
+        full = (1 << self.n) - 1
+        return set(self._row_ids(full & ~(a | o) for a, o in
+                                 zip(self.graph.adj, self.open_nbr)))
 
     def draw_open(self, rng: random.Random) -> tuple[int, int]:
         """Endpoints of a uniformly random open pair (one must exist):
@@ -229,7 +230,7 @@ def step(state: ProcessState) -> tuple[int, int]:
         raise RuntimeError("process exhausted: no open pair remains")
     if len(state._draw) > 2 * state._open:
         del state._draw[:]          # freed first: the rebuild reads only the masks
-        state._draw.extend(state._open_ids())
+        state._draw.extend(state._row_ids(state.open_nbr))
     u, v = state.draw_open(state.rng)
     state._retire(u, 1 << v)
     state.graph.add_edge(u, v)

@@ -172,6 +172,13 @@ class Constants:
                    m_steps=step_horizon(n, pattern, mu),
                    beta=closure_coefficient(pattern), c=c, d=d)
 
+    @property
+    def size_limit(self) -> int:
+        """floor(n^d), the largest |A| the density bound speaks of.  It is 1
+        for n below 2^(1/d), so at every simulable n the bound is vacuous:
+        singletons have no edges."""
+        return math.floor(self.n ** self.d)
+
     def t(self, i: int) -> float:
         return scaled_time(i, self.n, self.p)
 

@@ -9,7 +9,6 @@ from hfree.graphs import write_edge_list
 from hfree.harness import run_experiment
 from hfree.patterns import parse_pattern
 from hfree.process import Exhaustion, StepCount, init_process, run_until
-from hfree.theory import Constants
 from hfree.verify import run_verification, verify_closure, verify_cuv, verify_density
 
 
@@ -57,6 +56,14 @@ def test_verify_cli_closure_scope(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "closure",
                            "--size", "10", "--seeds", "2")
     assert code == 0 and "no mismatches" in out
+
+
+@pytest.mark.parametrize("flag", ["--size", "--seeds"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_nothing_to_compare_is_usage_error(capsys, flag, value):
+    code, out, err = run_cli(capsys, "verify", "--scope", "counts", flag, value)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert f"error: {flag} must be >= 1, got {value}" in err
 
 
 def test_verify_cli_failure_path(capsys, monkeypatch):
@@ -147,7 +154,8 @@ def test_simulate_analyze_roundtrip(tmp_path, capsys):
 
 
 def test_simulate_partial_failure_exit(tmp_path, capsys):
-    cfg = ExperimentConfig(pattern="C4", n_values=[2], trials=1, seed=0)
+    # n = 2 fails its trial; n = 12 runs, so the run goes ahead
+    cfg = ExperimentConfig(pattern="C4", n_values=[2, 12], trials=1, seed=0)
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(cfg.to_text())
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
@@ -160,7 +168,9 @@ def test_simulate_partial_failure_exit(tmp_path, capsys):
     ({"density_k": 13}, "exact mode limited"),
     ({"pattern": "K1,3"}, "strictly 2-balanced"),
     ({"copy_patterns": ["C2"]}, "cycle spec"),
-], ids=["exact-density-cap", "invalid-forbidden-pattern", "bad-copy-pattern"])
+    ({"n_values": [2]}, "smaller than the forbidden graph"),
+], ids=["exact-density-cap", "invalid-forbidden-pattern", "bad-copy-pattern",
+        "n-below-pattern"])
 def test_simulate_run_level_error_fails_fast(tmp_path, capsys, fields, message):
     # an error that would fail every trial stops the run before any output
     cfg = ExperimentConfig(**{"pattern": "C3", "n_values": [12], "trials": 2, **fields})
@@ -229,7 +239,18 @@ def test_density_threshold_check(tmp_path, capsys):
                            "--threshold", "2.0")
     assert code == cli.EXIT_VERIFY_FAILED
     check = json.loads(out.splitlines()[-1])
-    assert not check["passed"]
+    assert check["mode"] == "empirical" and not check["passed"]
+    assert check["density"] == "11/2"
+    st = init_process(60, parse_pattern("C3"), 2)
+    run_until(st, Exhaustion())
+    path = tmp_path / "c3.edges"
+    with open(path, "w") as fh:
+        write_edge_list(st.graph, fh)
+    code, out, _ = run_cli(capsys, "density", str(path), "--k", "10",
+                           "--threshold", "3.0")
+    assert code == cli.EXIT_OK
+    check = json.loads(out.splitlines()[-1])
+    assert check["passed"] and check["vacuous"] is False
 
 
 def test_density_threshold_scans_once(tmp_path, capsys, monkeypatch):
@@ -238,8 +259,10 @@ def test_density_threshold_scans_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "c3.edges"
     with open(path, "w") as fh:
         write_edge_list(st.graph, fh)
-    consts = Constants.for_run(parse_pattern("C3"), 60)
-    want = density.verify_density_bound(st.graph, consts, override=(3.0, 8))
+    want = ('{"density": "2", "detail": "max density 2 vs threshold 3.0", '
+            '"mode": "empirical", "passed": true, "size_limit": 8, '
+            '"threshold_c": 3.0, "vacuous": false, '
+            '"witness": "1 12 16 28 35 38 40 53"}')
     calls = []
     real = density.is_triangle_free
 
@@ -256,7 +279,7 @@ def test_density_threshold_scans_once(tmp_path, capsys, monkeypatch):
         assert code == 0
         # the report is reused when it is the exact scan the check needs
         assert len(calls) == 1, mode
-        assert out.splitlines()[-1] == json.dumps(want.as_dict(), sort_keys=True)
+        assert out.splitlines()[-1] == want
 
 
 def test_density_threshold_rescan_gets_the_pattern(tmp_path, capsys, monkeypatch):

@@ -155,6 +155,21 @@ def test_partial_failure_recorded(tmp_path):
     assert manifest["failures"]
 
 
+@pytest.mark.parametrize("n_values,message", [
+    ([2], "every n is smaller than the forbidden graph"),
+    ([2, 1], "every n is smaller than the forbidden graph"),
+    ([-5], "n values must be >= 1"),
+    ([20, 0], "n values must be >= 1"),
+], ids=["2", "2,1", "-5", "20,0"])
+def test_impossible_n_is_rejected_before_writing(tmp_path, n_values, message):
+    cfg = ExperimentConfig(pattern="C3", n_values=n_values, trials=2, seed=0)
+    out = tmp_path / "run"
+    out.mkdir()
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg, str(out))
+    assert os.listdir(out) == []
+
+
 def test_failed_trial_leaves_only_listed_files(tmp_path):
     # C4-free hosts contain triangles, so branch-and-bound needs nodes; up
     # to size 7 the ex(s, C4) ceiling settles every size without one, so

@@ -11,13 +11,11 @@ from hfree.density import (EXTREMAL_ROWS, POCKET_BEAM, SearchBudgetExceeded,
                            _bipartite_above_floors, _nonbipartite_ceiling,
                            biclique_sides, bipartite_pocket_warm,
                            bounded_density_scan, contains_biclique,
-                           extremal_row, is_triangle_free, local_search_warm,
-                           verify_density_bound)
+                           extremal_row, is_triangle_free, local_search_warm)
 from hfree.graphs import SimpleGraph, iter_bits
 from hfree.oracle import naive_max_density
 from hfree.patterns import Pattern, contains_copy, parse_pattern
 from hfree.process import Exhaustion, init_process, run_until
-from hfree.theory import Constants
 
 from conftest import PETERSEN_EDGES, random_graph, random_triangle_free
 
@@ -120,29 +118,6 @@ def test_scan_on_process_graph_small():
     assert rep.density == Fraction(23, 10)
     # on triangle-free hosts, Mantel's bound 25/10 at size 10 is met only by K5,5
     assert (rep.density == Fraction(5, 2)) == contains_copy(parse_pattern("K5,5"), st.graph)
-
-
-def test_verify_density_bound_derived_mode_vacuous():
-    c3 = parse_pattern("C3")
-    consts = Constants.for_run(c3, 800)
-    g = random_triangle_free(50, 300, 1)
-    report = verify_density_bound(g, consts)
-    assert report.mode == "derived"
-    assert report.passed and report.vacuous
-    assert report.size_limit == 1
-
-
-def test_verify_density_bound_empirical():
-    c3 = parse_pattern("C3")
-    consts = Constants.for_run(c3, 100)
-    k12 = parse_pattern("K12").to_graph()
-    report = verify_density_bound(k12, consts, override=(2.0, 12))
-    assert report.mode == "empirical" and not report.passed
-    assert report.scan.density == Fraction(11, 2)
-    st = init_process(60, c3, 2)
-    run_until(st, Exhaustion())
-    ok = verify_density_bound(st.graph, consts, override=(3.0, 10))
-    assert ok.passed and not ok.vacuous
 
 
 def test_report_row_shape():

@@ -184,6 +184,19 @@ def test_edge_list_parsing():
         read_edge_list(io.StringIO("0 1\n"))
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1 2\n3 3\n", "line 2 ('3 3'): loop edge rejected"),
+    ("# n = 3\n1 2\n\n2 1\n", "line 4 ('2 1'): duplicate edge rejected"),
+    ("1 x\n", "line 1 ('1 x'): expected two integer labels"),
+    ("1 2 3\n", "line 1 ('1 2 3'): expected two integer labels"),
+    ("2 3\n0 1\n", "line 2 ('0 1'): vertices are 1-based"),
+], ids=["loop", "duplicate", "non-integer", "three-labels", "label-0"])
+def test_edge_list_errors_name_the_line(text, message):
+    with pytest.raises(ValueError) as exc:
+        read_edge_list(io.StringIO(text))
+    assert str(exc.value).startswith(message)
+
+
 def test_edge_list_label_above_header_is_rejected():
     with pytest.raises(ValueError, match=r"line 3 \('1 5'\) exceeds the header's n = 3"):
         read_edge_list(io.StringIO("# n = 3\n1 2\n1 5\n2 3\n"))

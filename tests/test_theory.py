@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -118,3 +119,11 @@ def test_constants_bundle():
     assert consts.open_bound(0) == pytest.approx(10**8)
     d = consts.as_dict()
     assert d["log"] == "natural" and d["m_steps"] == 30348
+
+
+def test_size_limit_is_vacuous_at_simulable_n():
+    # floor(n^d) = 1: the density bound speaks only of singletons
+    consts = Constants.for_run(C3, 800)
+    assert consts.size_limit == 1
+    assert "size_limit" not in consts.as_dict()
+    assert dataclasses.replace(consts, d=0.5).size_limit == 28
