@@ -1,18 +1,19 @@
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import networkx
 import pytest
 
-from hfree import density
+from hfree import cli, density
 from hfree.density import (EXTREMAL_ROWS, POCKET_BEAM, SearchBudgetExceeded,
                            _bipartite_above_floors, _nonbipartite_ceiling,
                            biclique_sides, bipartite_pocket_warm,
                            bounded_density_scan, contains_biclique,
                            extremal_row, is_triangle_free, local_search_warm)
-from hfree.graphs import SimpleGraph, iter_bits
+from hfree.graphs import SimpleGraph, iter_bits, write_edge_list
 from hfree.oracle import naive_max_density
 from hfree.patterns import Pattern, contains_copy, parse_pattern
 from hfree.process import Exhaustion, init_process, run_until
@@ -118,6 +119,27 @@ def test_scan_on_process_graph_small():
     assert rep.density == Fraction(23, 10)
     # on triangle-free hosts, Mantel's bound 25/10 at size 10 is met only by K5,5
     assert (rep.density == Fraction(5, 2)) == contains_copy(parse_pattern("K5,5"), st.graph)
+
+
+def _threshold_check(tmp_path, capsys, g, k, c):
+    path = tmp_path / "host.edges"
+    with open(path, "w") as fh:
+        write_edge_list(g, fh)
+    code = cli.main(["density", str(path), "--k", str(k), "--threshold", str(c)])
+    return code, json.loads(capsys.readouterr().out.splitlines()[-1])
+
+
+def test_verify_density_bound_empirical(tmp_path, capsys):
+    k12 = parse_pattern("K12").to_graph()
+    code, check = _threshold_check(tmp_path, capsys, k12, 12, 2.0)
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert check["mode"] == "empirical" and not check["passed"]
+    assert check["density"] == "11/2"
+    st = init_process(60, parse_pattern("C3"), 2)
+    run_until(st, Exhaustion())
+    code, check = _threshold_check(tmp_path, capsys, st.graph, 10, 3.0)
+    assert code == cli.EXIT_OK
+    assert check["passed"] and check["vacuous"] is False
 
 
 def test_report_row_shape():
