@@ -130,8 +130,10 @@ def cmd_analyze(args) -> int:
         return EXIT_OK
     print(f"config {summary['config_hash']}")
     for n, row in summary["by_n"].items():
+        norm = row["normalised_final_edges"]
         print(f"n={n}: trials={row['trials']} mean_final_edges={row['mean_final_edges']:.2f} "
-              f"min={row['min']} median={row['median']} max={row['max']}")
+              f"min={row['min']} median={row['median']} max={row['max']} "
+              f"normalised={norm['mean']:.4f} ({norm['min']:.4f}-{norm['max']:.4f})")
     if "edge_exponent" in summary:
         fit = summary["edge_exponent"]
         print(f"edge exponent: slope={fit['slope']:.4f} stderr={fit['stderr']:.4f}")

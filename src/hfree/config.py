@@ -11,7 +11,6 @@ what gets hashed into run manifests.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -99,6 +98,7 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
+        import hashlib  # loads OpenSSL, which commands that never hash skip
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
 

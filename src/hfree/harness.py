@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, TextIO
 
@@ -24,8 +23,8 @@ from .density import EXACT_CAP_LIMIT, bounded_density_scan
 from .graphs import write_edge_list
 from .patterns import contains_copy, parse_pattern, validate_as_constraint
 from .process import (Exhaustion, Horizon, ProcessState, RNG_ID, StepCount,
-                      init_process, iter_process)
-from .theory import Constants, LOG_CONVENTION
+                      init_process, iter_process, stop_target)
+from .theory import Constants, LOG_CONVENTION, edge_count_scale
 
 STATS_COLUMNS = ["n", "trial", "seed", "steps", "final_edges", "exhausted",
                  "max_degree", "closed_pairs", "open_pairs"]
@@ -192,6 +191,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
     if max(cfg.n_values) < pattern.n:
         raise ValueError(f"every n is smaller than the forbidden graph "
                          f"({pattern.n} vertices); the largest is {max(cfg.n_values)}")
+    # the horizon grows with n: these raise iff they would at every n
+    stop_target(max(cfg.n_values), pattern, _stop_rule(cfg))
+    if cfg.monitors:
+        Constants.for_run(pattern, max(cfg.n_values), eps=cfg.eps, mu=cfg.mu)
     for spec in cfg.copy_patterns:
         parse_pattern(spec)
     if cfg.density_mode == "exact" and cfg.density_k > EXACT_CAP_LIMIT:
@@ -227,6 +230,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
     failures: list[str] = []
     nworkers = workers if workers is not None else cfg.workers
     if nworkers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             futs = {pool.submit(run_trial, cfg_text, n, n_index, trial, out_dir):
                     (n, trial) for (n_index, n, trial) in jobs}
@@ -271,8 +275,9 @@ def read_csv_rows(path: str) -> list[dict]:
 
 
 def aggregate_stats(out_dir: str) -> dict:
-    """Cross-trial means/quantiles and, when the data supports it, the
-    log-log exponent fit of the final edge counts."""
+    """Cross-trial means/quantiles, the final edge counts over
+    ``theory.edge_count_scale`` and, when the data supports it, the log-log
+    exponent fit of the final edge counts."""
     manifest_path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(f"no manifest in {out_dir!r}")
@@ -283,6 +288,7 @@ def aggregate_stats(out_dir: str) -> dict:
     rows = read_csv_rows(os.path.join(out_dir, "stats.csv"))
     if not rows:
         raise ValueError(f"no stats rows in {out_dir!r}")
+    pattern = parse_pattern(parse_config(manifest.get("config", "")).pattern)
     by_n: dict[int, list[int]] = {}
     for row in rows:
         by_n.setdefault(int(row["n"]), []).append(int(row["final_edges"]))
@@ -290,12 +296,15 @@ def aggregate_stats(out_dir: str) -> dict:
     for n in sorted(by_n):
         vals = sorted(by_n[n])
         k = len(vals)
+        scale = edge_count_scale(n, pattern)
         summary[n] = {
             "trials": k,
             "mean_final_edges": sum(vals) / k,
             "min": vals[0],
             "median": vals[k // 2] if k % 2 else (vals[k // 2 - 1] + vals[k // 2]) / 2,
             "max": vals[-1],
+            "normalised_final_edges": {"mean": sum(vals) / k / scale,
+                                       "min": vals[0] / scale, "max": vals[-1] / scale},
         }
     out = {"by_n": summary, "config_hash": manifest["config_hash"]}
     if len(by_n) >= 4 and all(len(v) >= 3 for v in by_n.values()):

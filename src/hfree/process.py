@@ -4,9 +4,10 @@ State is the full Edge/Open/Closed tripartition of vertex pairs, maintained
 incrementally: when an edge is added, the pairs it newly closes are found by
 enumerating embeddings of each closure template's base anchored at that
 edge and reading off the image of the missing pair.  Uniform sampling from
-the open pairs draws ids from a 4-byte array that holds each open pair once
-and accepts an id iff its mask bit is set; the array is never edited, only
-rebuilt from the masks, in id order, once over half of it is dead.
+the open pairs draws ids from a sequence that holds each open pair once and
+accepts an id iff its mask bit is set.  It starts as ``range(pair_count(n))``
+and is never edited, only rebuilt from the masks as a 4-byte array, in id
+order, once over half of it is dead: no array holds more than half the pairs.
 
 The classification is two bitmasks per vertex: bit v of ``graph.adj[u]`` is
 set iff uv is an edge, bit v of ``open_nbr[u]`` iff uv is open, and a pair
@@ -81,7 +82,7 @@ class ProcessState:
         full = (1 << n) - 1
         self.open_nbr = [full ^ (1 << u) for u in range(n)]
         self._open = pair_count(n)
-        self._draw = array("I", range(self._open))
+        self._draw: Union[range, array] = range(self._open)
         self.step = 0
         self.last_step: Optional[tuple[int, int, int]] = None  # (u, v, closed)
         self.stopped_early = False
@@ -229,8 +230,8 @@ def step(state: ProcessState) -> tuple[int, int]:
     if not state._open:
         raise RuntimeError("process exhausted: no open pair remains")
     if len(state._draw) > 2 * state._open:
-        del state._draw[:]          # freed first: the rebuild reads only the masks
-        state._draw.extend(state._row_ids(state.open_nbr))
+        state._draw = array("I")    # the old draw is freed first: the rebuild
+        state._draw.extend(state._row_ids(state.open_nbr))  # reads only the masks
     u, v = state.draw_open(state.rng)
     state._retire(u, 1 << v)
     state.graph.add_edge(u, v)
@@ -240,7 +241,8 @@ def step(state: ProcessState) -> tuple[int, int]:
     return (u, v)
 
 
-def _stop_target(state: ProcessState, stop: StopRule) -> Optional[int]:
+def stop_target(n: int, pattern: Pattern, stop: StopRule) -> Optional[int]:
+    """Step count at which ``stop`` ends a run at n; None for exhaustion."""
     if isinstance(stop, StepCount):
         if stop.steps < 0:
             raise ValueError("step count must be >= 0")
@@ -249,8 +251,8 @@ def _stop_target(state: ProcessState, stop: StopRule) -> Optional[int]:
         mu = stop.mu
         if mu is None:
             from .theory import default_eps_mu
-            mu = default_eps_mu(state.pattern)[1]
-        return step_horizon(state.n, state.pattern, mu)
+            mu = default_eps_mu(pattern)[1]
+        return step_horizon(n, pattern, mu)
     if isinstance(stop, Exhaustion):
         return None
     raise TypeError(f"unknown stop rule {stop!r}")
@@ -259,7 +261,7 @@ def _stop_target(state: ProcessState, stop: StopRule) -> Optional[int]:
 def iter_process(state: ProcessState, stop: StopRule) -> Iterator[ProcessState]:
     """Advance the state one step at a time, yielding it after each step,
     until the stop rule or exhaustion."""
-    target = _stop_target(state, stop)
+    target = stop_target(state.n, state.pattern, stop)
     while state._open and (target is None or state.step < target):
         step(state)
         yield state

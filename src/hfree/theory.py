@@ -88,13 +88,19 @@ def edge_scale(n: int, p: Pattern) -> float:
     return float(n) ** (-1.0 / float(two_density(p)))
 
 
+def edge_count_scale(n: int, p: Pattern) -> float:
+    """n^2 * scale * (ln n)^(1/(e_H-1)), the order of the final edge count
+    (Bohman and Keevash); for C3 it is n^(3/2) * sqrt(ln n)."""
+    return n * n * edge_scale(n, p) * math.log(n) ** (1.0 / (p.edge_count - 1))
+
+
 def step_horizon(n: int, p: Pattern, mu: Rational) -> int:
-    """floor(mu * n^2 * scale * (ln n)^(1/(e_H-1))): the number of steps
-    over which the tracked-phase estimates are formulated."""
+    """floor(mu * edge_count_scale(n, p)): the number of steps over which
+    the tracked-phase estimates are formulated."""
     m = as_fraction(mu)
     if m <= 0:
         raise ValueError("mu must be positive")
-    val = float(m) * n * n * edge_scale(n, p) * math.log(n) ** (1.0 / (p.edge_count - 1))
+    val = float(m) * edge_count_scale(n, p)
     steps = math.floor(val)
     if steps < 1:
         raise ValueError(f"step horizon {val:.3g} < 1: n={n} too small for this regime")

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +19,18 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_loads_no_worker_pool_or_openssl():
+    # only workers > 1 needs multiprocessing, and only config_hash needs
+    # hashlib; a fresh interpreter without site packages sees hfree's own imports
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    heavy = ("multiprocessing", "concurrent.futures.process", "hashlib", "_hashlib")
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import hfree.cli; "
+             f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_params_table(capsys):
@@ -151,6 +166,11 @@ def test_simulate_analyze_roundtrip(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["by_n"]["12"]["trials"] == 2
+    norm = summary["by_n"]["12"]["normalised_final_edges"]
+    code, out, _ = run_cli(capsys, "analyze", str(out_dir))
+    assert code == 0
+    assert (f"normalised={norm['mean']:.4f} ({norm['min']:.4f}-{norm['max']:.4f})"
+            in out.splitlines()[1])
 
 
 def test_simulate_partial_failure_exit(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -120,12 +121,13 @@ def test_run_experiment_write_once(tmp_path):
 
 
 def test_rerun_byte_identical(tmp_path):
-    cfg = ExperimentConfig(pattern="C3", n_values=[12, 15], trials=2, seed=5,
+    # n >= 16: below it C3's step horizon, which the monitors need, is undefined
+    cfg = ExperimentConfig(pattern="C3", n_values=[16, 20], trials=2, seed=5,
                            stop="exhaustion", monitors=True, cuv_samples=2,
                            density_k=4, copy_patterns=["C4"], traj_log="full")
     a, b = tmp_path / "a", tmp_path / "b"
-    run_experiment(cfg, str(a))
-    run_experiment(cfg, str(b))
+    assert run_experiment(cfg, str(a)).ok
+    assert run_experiment(cfg, str(b)).ok
     files = sorted(os.listdir(a))
     assert files == sorted(os.listdir(b))
     for f in files:
@@ -168,6 +170,39 @@ def test_impossible_n_is_rejected_before_writing(tmp_path, n_values, message):
     with pytest.raises(ValueError, match=message):
         run_experiment(cfg, str(out))
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("pattern,n_values,extra,message", [
+    ("C3", [5], {"stop": "horizon"}, r"step horizon 0.142 < 1"),
+    ("C3", [5, 4], {"stop": "horizon"}, r"step horizon 0.142 < 1"),
+    ("C4", [6], {"stop": "horizon"}, r"step horizon .* < 1"),
+    ("C3", [5], {"monitors": True}, r"step horizon 0.142 < 1"),
+    ("C3", [50], {"monitors": True, "eps": "1/2", "mu": "1/2"}, "invalid"),
+], ids=["C3-5", "C3-5,4", "C4-6", "monitors-C3-5", "monitors-bad-eps"])
+def test_every_trial_failing_is_rejected_before_writing(tmp_path, pattern, n_values,
+                                                         extra, message):
+    cfg = ExperimentConfig(pattern=pattern, n_values=n_values, trials=2, seed=0,
+                           **extra)
+    out = tmp_path / "run"
+    out.mkdir()
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg, str(out))
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("extra", [{"stop": "horizon"}, {"monitors": True}],
+                         ids=["horizon", "monitors"])
+def test_horizon_undefined_at_some_n_records_those_trials(tmp_path, extra):
+    cfg = ExperimentConfig(pattern="C3", n_values=[5, 60], trials=2, seed=0,
+                           **extra)
+    res = run_experiment(cfg, str(tmp_path / "run"))
+    assert sorted(res.failures) == [
+        f"trial n=5 t={t}: step horizon 0.142 < 1: n=5 too small for this regime"
+        for t in range(2)]
+    stats = read_csv_rows(str(tmp_path / "run" / "stats.csv"))
+    assert [r["n"] for r in stats] == ["60", "60"]
+    if cfg.stop == "horizon":
+        assert [r["steps"] for r in stats] == ["9", "9"]
 
 
 def test_failed_trial_leaves_only_listed_files(tmp_path):
@@ -221,6 +256,14 @@ def test_aggregate_stats(tmp_path):
     summary = aggregate_stats(str(out))
     assert set(summary["by_n"]) == {12, 16}
     assert summary["by_n"][12]["trials"] == 3
+    # C3's edge count scale is n^(3/2) sqrt(ln n)
+    for n, row in summary["by_n"].items():
+        norm = row["normalised_final_edges"]
+        scale = n ** 1.5 * math.sqrt(math.log(n))
+        assert norm["mean"] == pytest.approx(row["mean_final_edges"] / scale, rel=1e-12)
+        assert norm["min"] == pytest.approx(row["min"] / scale, rel=1e-12)
+        assert norm["max"] == pytest.approx(row["max"] / scale, rel=1e-12)
+        assert norm["min"] <= norm["mean"] <= norm["max"]
     with pytest.raises(FileNotFoundError):
         aggregate_stats(str(tmp_path / "missing"))
 

@@ -2,7 +2,9 @@ import hashlib
 import io
 import random
 import tracemalloc
+from array import array
 from collections import Counter
+from itertools import starmap
 
 import networkx as nx
 import pytest
@@ -121,11 +123,44 @@ def test_draw_open_uniform_with_dead_entries():
 
 def test_rebuild_holds_the_open_ids_in_order():
     st = init_process(10, C3, 1)
+    assert st._draw == range(pair_count(10))
     _run_to(st, lambda s: len(s._draw) > 2 * s.open_count())
+    assert type(st._draw) is range  # no array before the first rebuild
     before = st.open_pair_ids()
     pid = pair_index(*step(st), st.n)
+    assert type(st._draw) is array and st._draw.typecode == "I"
     assert list(st._draw) == before
     assert pid in before and st.class_of(*pair_from_index(pid, st.n)) == EDGE
+
+
+def _full_array_step(state):
+    """``step`` as it was with the draw array allocated in full at the start
+    and emptied in place at each rebuild."""
+    if len(state._draw) > 2 * state._open:
+        del state._draw[:]
+        state._draw.extend(state._row_ids(state.open_nbr))
+    u, v = state.draw_open(state.rng)
+    state._retire(u, 1 << v)
+    state.graph.add_edge(u, v)
+    state.step += 1
+    closed = sum(starmap(state._retire, state._closure_scan(u, v).items()))
+    state.last_step = (u, v, closed)
+
+
+@pytest.mark.parametrize("spec,n", [("C3", 40), ("C4", 30), ("K4", 20)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lazy_draw_steps_like_the_full_array(spec, n, seed):
+    pattern = parse_pattern(spec)
+    lazy, full = init_process(n, pattern, seed), init_process(n, pattern, seed)
+    full._draw = array("I", range(pair_count(n)))
+    got, want = [], []
+    while not lazy.is_exhausted():
+        step(lazy)
+        got.append(lazy.last_step)
+    while not full.is_exhausted():
+        _full_array_step(full)
+        want.append(full.last_step)
+    assert got == want
 
 
 def test_sample_open_draws_distinct_open_pairs():
@@ -143,7 +178,8 @@ def test_sample_open_draws_distinct_open_pairs():
 
 
 def test_init_process_memory_per_pair():
-    # the draw array's 4 bytes per pair, plus the masks: no per-pair objects
+    # the masks' quarter byte per pair: no draw array before the first
+    # rebuild, and no per-pair objects
     n = 2000
     tracemalloc.start()
     try:
@@ -151,7 +187,7 @@ def test_init_process_memory_per_pair():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * pair_count(n)
+    assert peak < pair_count(n) / 2
 
 
 def reference_edges(n, pattern, seed):
