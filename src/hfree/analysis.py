@@ -15,9 +15,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import SimpleGraph, pair_from_index
 from .patterns import Pattern, contains_copy, count_automorphisms, count_embeddings
-from .process import (EdgeSetF, Horizon, ProcessState, compute_C_uv,
+from .process import (EdgeSetF, ProcessState, compute_C_uv,
                       init_process, run_until, OPEN, EDGE, CLOSED)
-from .theory import Constants, open_fraction
+from .theory import Constants, open_fraction, step_horizon
 
 # ── trajectory monitors ──────────────────────────────────────────────────
 
@@ -180,8 +180,9 @@ def count_copies_at_m(pattern: Pattern, target: Pattern, n: int, mu,
                              impossible=contains_copy(pattern, target.to_graph()))
     if result.impossible:
         return result
+    steps = step_horizon(n, pattern, mu)
     for trial in range(trials):
-        state = run_until(init_process(n, pattern, base_seed + trial), Horizon(mu=mu))
+        state = run_until(init_process(n, pattern, base_seed + trial), steps)
         if presence_only:
             present = contains_copy(target, state.graph)
             count = None

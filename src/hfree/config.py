@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 
@@ -37,28 +38,32 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for key, low in (("trials", 1), ("workers", 1), ("cuv_samples", 0),
+                         ("intersection_samples", 0), ("density_k", 0), ("density_budget", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if not self.n_values:
             raise ValueError("need at least one n value")
         if min(self.n_values) < 1:
             raise ValueError(f"n values must be >= 1, got {min(self.n_values)}")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise ValueError(f"duplicate n values in {self.n_values}: trial files would clash")
         if self.stop not in ("exhaustion", "horizon") and not self.stop.startswith("steps:"):
             raise ValueError(f"bad stop rule {self.stop!r}")
-        if self.stop.startswith("steps:"):
-            body = self.stop[len("steps:"):]
-            if not body.isdigit():
-                raise ValueError(f"bad step count in stop rule {self.stop!r}")
+        if self.stop.startswith("steps:") and not self.stop[len("steps:"):].isdigit():
+            raise ValueError(f"bad step count in stop rule {self.stop!r}")
         if self.density_mode not in ("exact", "heuristic"):
             raise ValueError(f"bad density mode {self.density_mode!r}")
         if self.traj_log not in ("off", "checkpoints", "full"):
             raise ValueError(f"bad traj_log {self.traj_log!r}")
         if self.checkpoints not in ("auto", "off"):
             for tok in self.checkpoints.split(","):
-                if not tok.strip().isdigit():
-                    raise ValueError(f"bad checkpoint list {self.checkpoints!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+                if not tok.strip().isdigit() or int(tok) < 1:
+                    raise ValueError(f"bad checkpoint list {self.checkpoints!r}: steps are >= 1")
+        for key in ("eps", "mu"):
+            if (value := getattr(self, key)) is not None and not _positive(value):
+                raise ValueError(f"{key} = {value!r}: expected a positive rational "
+                                 f"such as 0.1 or 1/10")
 
     def checkpoint_list(self) -> Optional[list[int]]:
         if self.checkpoints == "auto":
@@ -125,9 +130,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in _TEXT_KEYS:
             setattr(cfg, key, value)
         elif key in _INT_KEYS:
-            setattr(cfg, key, int(value))
+            setattr(cfg, key, _parse_int(value, lineno))
         elif key == "n":
-            cfg.n_values = [int(tok.strip()) for tok in value.split(",")]
+            cfg.n_values = [_parse_int(tok.strip(), lineno) for tok in value.split(",")]
         elif key == "checkpoints":
             cfg.checkpoints = value.replace(" ", "") if value not in ("auto", "off") else value
         elif key == "monitors":
@@ -155,6 +160,20 @@ def _split_patterns(value: str, lineno: int) -> list[str]:
         else:
             specs.append(tok)
     return specs
+
+
+def _positive(value: str) -> bool:
+    try:
+        return Fraction(value) > 0
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+def _parse_int(value: str, lineno: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected an integer, got {value!r}") from None
 
 
 def _parse_bool(value: str, lineno: int) -> bool:

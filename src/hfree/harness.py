@@ -21,10 +21,9 @@ from .analysis import default_checkpoints, monitor_trajectory
 from .config import ExperimentConfig, parse_config
 from .density import EXACT_CAP_LIMIT, bounded_density_scan
 from .graphs import write_edge_list
-from .patterns import contains_copy, parse_pattern, validate_as_constraint
-from .process import (Exhaustion, Horizon, ProcessState, RNG_ID, StepCount,
-                      init_process, iter_process, stop_target)
-from .theory import Constants, LOG_CONVENTION, edge_count_scale
+from .patterns import Pattern, contains_copy, parse_pattern, validate_as_constraint
+from .process import ProcessState, RNG_ID, init_process, iter_process
+from .theory import Constants, LOG_CONVENTION, edge_count_scale, step_horizon
 
 STATS_COLUMNS = ["n", "trial", "seed", "steps", "final_edges", "exhausted",
                  "max_degree", "closed_pairs", "open_pairs"]
@@ -36,12 +35,13 @@ DENSITY_COLUMNS = ["n", "trial", "size_cap", "density", "density_float",
 COPY_COLUMNS = ["n", "trial", "target", "present"]
 
 
-def _stop_rule(cfg: ExperimentConfig):
+def _step_target(cfg: ExperimentConfig, n: int, pattern: Pattern) -> Optional[int]:
+    """The step count at which ``cfg.stop`` ends a run at n; None: exhaustion."""
     if cfg.stop == "exhaustion":
-        return Exhaustion()
+        return None
     if cfg.stop == "horizon":
-        return Horizon(mu=cfg.mu)
-    return StepCount(int(cfg.stop[len("steps:"):]))
+        return step_horizon(n, pattern, cfg.mu)
+    return int(cfg.stop[len("steps:"):])
 
 
 def _metadata_line(cfg: ExperimentConfig) -> str:
@@ -95,6 +95,7 @@ def run_trial(cfg_text: str, n: int, n_index: int, trial: int,
     pattern = parse_pattern(cfg.pattern)
     seed = cfg.trial_seed(n_index, trial)
     state = init_process(n, pattern, seed)
+    target = _step_target(cfg, n, pattern)   # raises before any file opens
     try:
         constants = Constants.for_run(pattern, n, eps=cfg.eps, mu=cfg.mu)
     except ValueError:
@@ -102,7 +103,6 @@ def run_trial(cfg_text: str, n: int, n_index: int, trial: int,
         constants = None
         if cfg.monitors:
             raise
-    stop = _stop_rule(cfg)
 
     checkpoints = cfg.checkpoint_list()
     if checkpoints is None:
@@ -114,7 +114,7 @@ def run_trial(cfg_text: str, n: int, n_index: int, trial: int,
         # one pass: the step stream goes through the trajectory writer (when
         # the log is on) into the monitors (when they are on), or is drained
         with open(traj_path, "x") if traj_path else contextlib.nullcontext() as fh:
-            states = iter_process(state, stop)
+            states = iter_process(state, target)
             if traj_path:
                 files.append(traj_path)
                 header = {"n": n, "pattern": cfg.pattern, "seed": seed,
@@ -192,7 +192,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
         raise ValueError(f"every n is smaller than the forbidden graph "
                          f"({pattern.n} vertices); the largest is {max(cfg.n_values)}")
     # the horizon grows with n: these raise iff they would at every n
-    stop_target(max(cfg.n_values), pattern, _stop_rule(cfg))
+    _step_target(cfg, max(cfg.n_values), pattern)
     if cfg.monitors:
         Constants.for_run(pattern, max(cfg.n_values), eps=cfg.eps, mu=cfg.mu)
     for spec in cfg.copy_patterns:

@@ -260,35 +260,19 @@ def _run_plan(parents: Sequence[tuple[int, ...]], adj: list[int],
         i += 1
 
 
-def enumerate_embeddings(p: Pattern, g: SimpleGraph,
-                         anchor: Optional[tuple[int, tuple[int, int]]] = None,
-                         ) -> Iterator[tuple[int, ...]]:
+def enumerate_embeddings(p: Pattern, g: SimpleGraph) -> Iterator[tuple[int, ...]]:
     """Yield every injective homomorphism of ``p`` into ``g`` as a tuple
-    ``img`` with ``img[pattern_vertex] = host_vertex``.
-
-    With ``anchor=(edge_role, (x, y))`` only embeddings mapping pattern edge
-    ``p.edges[edge_role]`` onto the host edge {x,y} are produced, in both
-    orientations.  The host pair must be an edge of ``g``.
-    """
+    ``img`` with ``img[pattern_vertex] = host_vertex``."""
     if p.n > g.n:
         return
-    if anchor is None:
-        order, prefixes = _extension_order(p, ()), [()]
-    else:
-        role, (x, y) = anchor
-        if not g.has_edge(x, y):
-            raise ValueError(f"anchor pair ({x},{y}) is not a host edge")
-        order, prefixes = _extension_order(p, p.edges[role]), [(x, y), (y, x)]
-    parents = _compile_plan(p, order)
+    order = _extension_order(p, ())
     img, out = [-1] * p.n, [-1] * p.n
-    for pre in prefixes:
-        img[:len(pre)] = pre
-        for cand in _run_plan(parents, g.adj, img, sum(1 << h for h in pre), len(pre)):
-            for v, h in zip(order, img):
-                out[v] = h
-            for w in iter_bits(cand):
-                out[order[-1]] = w
-                yield tuple(out)
+    for cand in _run_plan(_compile_plan(p, order), g.adj, img, 0, 0):
+        for v, h in zip(order, img):
+            out[v] = h
+        for w in iter_bits(cand):
+            out[order[-1]] = w
+            yield tuple(out)
 
 
 def _fold(parents: Sequence[tuple[int, ...]]) -> tuple:
@@ -357,22 +341,19 @@ class ClosureTemplate:
     fixing f maps E(H) - f onto itself, and an automorphism of H - f fixing
     {f0, f1} maps E(H - f) + f onto itself."""
 
-    __slots__ = ("base", "missing_pair", "anchor_roles", "_plans", "_folds")
+    __slots__ = ("base", "missing_pair", "anchor_roles", "_folds")
 
     def __init__(self, base: Pattern, missing_pair: tuple[int, int],
-                 anchor_roles: tuple[int, ...]):
+                 anchor_roles: tuple[int, ...], stab: list[tuple[int, ...]]):
         self.base = base
         self.missing_pair = missing_pair
         self.anchor_roles = anchor_roles
-        # per anchor role, for the closure scan of the process engine:
-        # _plans has the plan, the missing pair's positions, and leaf_other,
-        # the position of the pair's other end if one end is the last
-        # position L (else -1).  _folds has the plan's _fold, then whether
-        # the missing pair has an end at L-1, the closed pair's positions
-        # (bp = -1: L's candidates), and 1 anchor orientation if a base
-        # automorphism fixing the missing pair swaps the anchor edge's ends,
-        # else 2.
-        self._plans = []
+        # per anchor role, for the closure scan of the process engine: the
+        # plan's _fold, then whether the missing pair has an end at L-1, the
+        # closed pair's positions (the other end and -1, L's candidates, if
+        # one end is the last position L), and 1 anchor orientation if an
+        # automorphism in ``stab`` (those fixing the missing pair) swaps the
+        # anchor edge's ends, else 2.
         self._folds = []
         for role in anchor_roles:
             a, b = base.edges[role]
@@ -380,11 +361,8 @@ class ClosureTemplate:
             mp = (order.index(missing_pair[0]), order.index(missing_pair[1]))
             last = len(order) - 1
             leaf_other = mp[1] if mp[0] == last else mp[0] if mp[1] == last else -1
-            parents = _compile_plan(base, order)
-            self._plans.append((parents, mp, leaf_other))
-            swap = any(e[a] == b and {e[v] for v in missing_pair} == set(missing_pair)
-                       for e in enumerate_embeddings(base, base.to_graph(), (role, (a, b))))
-            self._folds.append((*_fold(parents), last - 1 in mp,
+            swap = any(s[a] == b and s[b] == a for s in stab)
+            self._folds.append((*_fold(_compile_plan(base, order)), last - 1 in mp,
                                 *((leaf_other, -1) if leaf_other >= 0 else mp), 2 - swap))
 
 
@@ -422,6 +400,6 @@ def closure_templates(p: Pattern) -> list[ClosureTemplate]:
         stab = [perm for perm in perms if {perm[f[0]], perm[f[1]]} == {f[0], f[1]}]
         base_orbits = _edge_orbits(stab, base.edges)
         anchor_roles = tuple(orb[0] for orb in base_orbits)
-        templates.append(ClosureTemplate(base, f, anchor_roles))
+        templates.append(ClosureTemplate(base, f, anchor_roles, stab))
     p._templates = templates
     return templates

@@ -36,35 +36,12 @@ from .graphs import (SimpleGraph, pair_count, pair_from_index, pair_index,
                      pair_row_offsets)
 from .patterns import (Pattern, _run_plan, closure_templates,
                        validate_as_constraint)
-from .theory import Rational, step_horizon
 
 OPEN, EDGE, CLOSED = 0, 1, 2
 CLASS_NAMES = {OPEN: "open", EDGE: "edge", CLOSED: "closed"}
 
 RNG_ID = "python-random-mt19937+draw-array"
 _BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-# ── stop rules ───────────────────────────────────────────────────────────
-
-@dataclass(frozen=True)
-class StepCount:
-    """Run until the state has this many edges (absolute step count)."""
-    steps: int
-
-
-@dataclass(frozen=True)
-class Horizon:
-    """Run for the tracked-phase step horizon computed from (n, mu)."""
-    mu: Optional[Rational] = None
-
-
-@dataclass(frozen=True)
-class Exhaustion:
-    """Run until no open pair remains (maximal constraint-free graph)."""
-
-
-StopRule = Union[StepCount, Horizon, Exhaustion]
 
 
 class ProcessState:
@@ -241,38 +218,22 @@ def step(state: ProcessState) -> tuple[int, int]:
     return (u, v)
 
 
-def stop_target(n: int, pattern: Pattern, stop: StopRule) -> Optional[int]:
-    """Step count at which ``stop`` ends a run at n; None for exhaustion."""
-    if isinstance(stop, StepCount):
-        if stop.steps < 0:
-            raise ValueError("step count must be >= 0")
-        return stop.steps
-    if isinstance(stop, Horizon):
-        mu = stop.mu
-        if mu is None:
-            from .theory import default_eps_mu
-            mu = default_eps_mu(pattern)[1]
-        return step_horizon(n, pattern, mu)
-    if isinstance(stop, Exhaustion):
-        return None
-    raise TypeError(f"unknown stop rule {stop!r}")
-
-
-def iter_process(state: ProcessState, stop: StopRule) -> Iterator[ProcessState]:
+def iter_process(state: ProcessState, steps: Optional[int] = None) -> Iterator[ProcessState]:
     """Advance the state one step at a time, yielding it after each step,
-    until the stop rule or exhaustion."""
-    target = stop_target(state.n, state.pattern, stop)
-    while state._open and (target is None or state.step < target):
+    until it has ``steps`` edges or, when that is None, until exhaustion."""
+    if steps is not None and steps < 0:
+        raise ValueError("step count must be >= 0")
+    while state._open and (steps is None or state.step < steps):
         step(state)
         yield state
-    state.stopped_early = target is not None and state.step < target
+    state.stopped_early = steps is not None and state.step < steps
 
 
-def run_until(state: ProcessState, stop: StopRule) -> ProcessState:
-    """Advance until the stop rule or exhaustion.  If a requested step count
-    exceeds the process lifetime the exhausted state is returned with
-    ``stopped_early`` set instead of raising."""
-    for _ in iter_process(state, stop):
+def run_until(state: ProcessState, steps: Optional[int] = None) -> ProcessState:
+    """Advance until the state has ``steps`` edges, or to exhaustion when
+    that is None.  If ``steps`` exceeds the process lifetime the exhausted
+    state is returned with ``stopped_early`` set instead of raising."""
+    for _ in iter_process(state, steps):
         pass
     return state
 

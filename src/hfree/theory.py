@@ -94,10 +94,11 @@ def edge_count_scale(n: int, p: Pattern) -> float:
     return n * n * edge_scale(n, p) * math.log(n) ** (1.0 / (p.edge_count - 1))
 
 
-def step_horizon(n: int, p: Pattern, mu: Rational) -> int:
+def step_horizon(n: int, p: Pattern, mu: Rational = None) -> int:
     """floor(mu * edge_count_scale(n, p)): the number of steps over which
-    the tracked-phase estimates are formulated."""
-    m = as_fraction(mu)
+    the tracked-phase estimates are formulated.  None means the default mu
+    of ``default_eps_mu``."""
+    m = default_eps_mu(p)[1] if mu is None else as_fraction(mu)
     if m <= 0:
         raise ValueError("mu must be positive")
     val = float(m) * edge_count_scale(n, p)
@@ -168,10 +169,8 @@ class Constants:
                 eps: Rational = None, mu: Rational = None) -> "Constants":
         if eps is None or mu is None:
             de, dm = default_eps_mu(pattern)
-            eps = de if eps is None else as_fraction(eps)
-            mu = dm if mu is None else as_fraction(mu)
-        else:
-            eps, mu = as_fraction(eps), as_fraction(mu)
+            eps, mu = de if eps is None else eps, dm if mu is None else mu
+        eps, mu = as_fraction(eps), as_fraction(mu)
         c, d = density_constants(pattern, eps, mu)  # validates (eps, mu)
         return cls(pattern=pattern, n=n, eps=eps, mu=mu,
                    p=edge_scale(n, pattern),

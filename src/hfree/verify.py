@@ -18,8 +18,7 @@ from .patterns import contains_copy, count_automorphisms, count_embeddings, pars
 from .density import biclique_sides, bounded_density_scan, contains_biclique
 from .oracle import (naive_C_uv, naive_closed_set, naive_count_copies,
                      naive_is_maximal_free, naive_max_density)
-from .process import (Exhaustion, StepCount, compute_C_uv, init_process,
-                      run_until, step)
+from .process import compute_C_uv, init_process, run_until, step
 
 DEFAULT_CLOSURE_PATTERNS = ("C3", "C4")
 DEFAULT_COUNT_PATTERNS = ("C3", "C4", "C5", "K1,3", "K2,3", "K3,3")
@@ -71,7 +70,7 @@ def verify_cuv(n: int = 12, seeds: int = 5, samples: int = 3,
         for seed in range(seeds):
             state = init_process(n, pattern, seed)
             rng = random.Random(seed + 1)
-            run_until(state, StepCount(max(1, rng.randrange(1, max(2, n)))))
+            run_until(state, max(1, rng.randrange(1, max(2, n))))
             for uv in state.sample_open(rng, samples):
                 got = compute_C_uv(state, uv)
                 want = naive_C_uv(state.graph, pattern, uv)
@@ -106,7 +105,7 @@ def verify_density(n: int = 10, seeds: int = 20) -> tuple[list[str], int]:
         for h in map(parse_pattern, ("C3", "C4")):
             if n >= h.n:    # the H process needs as many vertices as H
                 state = init_process(n, h, seed)
-                run_until(state, Exhaustion())
+                run_until(state)
                 hosts.append((f"{h.name}-process", state.graph, h))
         for host, g, h in hosts:
             want, _ = naive_max_density(g)

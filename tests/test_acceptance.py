@@ -22,9 +22,8 @@ from hfree.graphs import pair_from_index
 from hfree.harness import run_experiment
 from hfree.oracle import naive_C_uv, naive_closed_set, naive_is_maximal_free
 from hfree.patterns import parse_pattern
-from hfree.process import (EDGE, OPEN, EdgeSetF, Exhaustion,
-                           StepCount, compute_C_uv, compute_O_F, init_process,
-                           iter_process, run_until, step)
+from hfree.process import (EDGE, OPEN, EdgeSetF, compute_C_uv, compute_O_F,
+                           init_process, iter_process, run_until, step)
 from hfree.theory import Constants, density_constants, step_horizon
 
 C3 = parse_pattern("C3")
@@ -78,7 +77,7 @@ def _mid_states(n=15, count=200):
     lengths = {}
     for seed in range(count // 4):
         probe = init_process(n, C3, seed)
-        run_until(probe, Exhaustion())
+        run_until(probe)
         lengths[seed] = probe.step
     out = []
     idx = 0
@@ -86,7 +85,7 @@ def _mid_states(n=15, count=200):
         for frac in (0.25, 0.5, 0.75, 0.95):
             target = max(1, int(lengths[seed] * frac))
             st = init_process(n, C3, seed)
-            run_until(st, StepCount(target))
+            run_until(st, target)
             out.append((st, random.Random(10_000 + idx)))
             idx += 1
     return out
@@ -161,7 +160,7 @@ def test_criterion_3_set_identities(mid_states):
 def _final_edges(args):
     n, seed = args
     st = init_process(n, C3, seed)
-    run_until(st, Exhaustion())
+    run_until(st)
     return (n, st.graph.edge_count)
 
 
@@ -192,7 +191,7 @@ def test_criterion_5_open_pair_monitor():
     ok_trials = 0
     for seed in range(trials):
         st = init_process(n, C3, seed)
-        stats = monitor_trajectory(iter_process(st, StepCount(consts.m_steps)),
+        stats = monitor_trajectory(iter_process(st, consts.m_steps),
                                    consts, marks, cuv_samples=5,
                                    intersection_samples=10,
                                    sample_seed=seed)
@@ -231,7 +230,7 @@ def test_criterion_6_subgraph_presence():
 def _density_trial(args):
     n, seed = args
     st = init_process(n, C3, seed)
-    run_until(st, Exhaustion())
+    run_until(st)
     report = bounded_density_scan(st.graph, 10, mode="exact",
                                   node_budget=50_000_000, seed=seed)
     assert report.optimal

@@ -7,8 +7,8 @@ from hfree.analysis import (baseline_uniform_process, check_key_inequality,
                             fit_edge_exponent, monitor_trajectory)
 from hfree.graphs import pair_from_index
 from hfree.patterns import parse_pattern
-from hfree.process import (EdgeSetF, Exhaustion, StepCount,
-                           compute_O_F, init_process, iter_process, run_until)
+from hfree.process import (EdgeSetF, compute_O_F, init_process, iter_process,
+                           run_until)
 from hfree.theory import Constants
 
 C3 = parse_pattern("C3")
@@ -19,7 +19,7 @@ def test_monitor_trajectory_records():
     consts = Constants.for_run(C3, n)
     st = init_process(n, C3, 0)
     marks = [2, 5, 9]
-    stats = monitor_trajectory(iter_process(st, StepCount(9)), consts, marks,
+    stats = monitor_trajectory(iter_process(st, 9), consts, marks,
                                cuv_samples=3, intersection_samples=5)
     assert [r.step for r in stats.records] == marks
     for rec in stats.records:
@@ -34,7 +34,7 @@ def test_monitor_trajectory_records():
 def test_monitor_skips_dead_checkpoints():
     consts = Constants.for_run(C3, 30)
     st = init_process(30, C3, 1)
-    stats = monitor_trajectory(iter_process(st, Exhaustion()), consts,
+    stats = monitor_trajectory(iter_process(st), consts,
                                [5, 10**6], cuv_samples=0)
     assert len(stats.records) == 1
     assert any("beyond process lifetime" in note for note in stats.notices)
@@ -43,10 +43,10 @@ def test_monitor_skips_dead_checkpoints():
 def test_monitor_sampling_does_not_perturb():
     a = init_process(40, C3, 7)
     consts = Constants.for_run(C3, 40)
-    monitor_trajectory(iter_process(a, StepCount(20)), consts, [5, 10, 20],
+    monitor_trajectory(iter_process(a, 20), consts, [5, 10, 20],
                        cuv_samples=5)
     b = init_process(40, C3, 7)
-    run_until(b, StepCount(20))
+    run_until(b, 20)
     assert a.graph.adj == b.graph.adj
     assert a._draw == b._draw
     assert a.rng.getstate() == b.rng.getstate()
@@ -74,9 +74,9 @@ def test_checkpoint_rejects_inconsistent_state(corrupt, message):
 
     consts = Constants.for_run(C3, 30)
     st = init_process(30, C3, 2)
-    monitor_trajectory(iter_process(st, StepCount(4)), consts, [4])  # consistent
+    monitor_trajectory(iter_process(st, 4), consts, [4])  # consistent
     with pytest.raises(RuntimeError, match=message):
-        monitor_trajectory(corrupted(iter_process(st, StepCount(9))), consts, [5])
+        monitor_trajectory(corrupted(iter_process(st, 9)), consts, [5])
 
 
 def test_default_checkpoints_reasonable():
@@ -123,7 +123,7 @@ def test_check_key_inequality_tiny_cases():
     n = 24
     consts = Constants.for_run(C3, n)
     st = init_process(n, C3, 3)
-    run_until(st, StepCount(consts.m_steps))
+    run_until(st, consts.m_steps)
     # F consisting only of edges of the graph: O_F empty, record consistent
     some_edges = list(st.graph.edges())[:3]
     f = EdgeSetF.from_vertex_pairs(some_edges, n)
@@ -145,7 +145,7 @@ def test_check_key_inequality_random_states():
     consts = Constants.for_run(C3, n)
     for seed in range(5):
         st = init_process(n, C3, seed)
-        run_until(st, StepCount(max(2, consts.m_steps)))
+        run_until(st, max(2, consts.m_steps))
         rng = random.Random(seed)
         verts = rng.sample(range(n), 8)
         f = EdgeSetF.random_in_vertex_set(verts, 6, n, rng)
@@ -163,7 +163,7 @@ def test_check_key_inequality_midrange_instance():
     n = 400
     consts = Constants.for_run(C3, n)
     st = init_process(n, C3, 0)
-    run_until(st, StepCount((consts.m_steps + 1) // 2))
+    run_until(st, (consts.m_steps + 1) // 2)
     rng = random.Random(1)
     verts = rng.sample(range(n), 20)
     f = EdgeSetF.random_in_vertex_set(verts, 20, n, rng)
@@ -201,7 +201,7 @@ def test_constrained_vs_uniform_triangle_counts():
     steps = round(n * n * edge_scale(n, c5) / 2)
     for seed in range(10):
         st = init_process(n, c5, seed)
-        run_until(st, StepCount(steps))
+        run_until(st, steps)
         constrained = count_embeddings(C3, st.graph) // 6
         base = baseline_uniform_process(n, steps, seed + 1000)
         unconstrained = count_embeddings(C3, base) // 6

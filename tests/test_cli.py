@@ -11,7 +11,7 @@ from hfree.config import ExperimentConfig
 from hfree.graphs import write_edge_list
 from hfree.harness import run_experiment
 from hfree.patterns import parse_pattern
-from hfree.process import Exhaustion, StepCount, init_process, run_until
+from hfree.process import init_process, run_until
 from hfree.verify import run_verification, verify_closure, verify_cuv, verify_density
 
 
@@ -138,7 +138,7 @@ def test_verify_cuv_counts_pairs_compared():
     for seed in range(seeds):
         state = init_process(n, parse_pattern("C3"), seed)
         rng = random.Random(seed + 1)
-        run_until(state, StepCount(max(1, rng.randrange(1, n))))
+        run_until(state, max(1, rng.randrange(1, n)))
         want += min(samples, state.open_count())
     assert verify_cuv(n=n, seeds=seeds, samples=samples, patterns=("C3",)) == ([], want)
     assert want < seeds * samples
@@ -234,7 +234,7 @@ def test_density_negative_budget_is_usage_error(tmp_path, capsys):
 
 def test_density_pattern_sets_the_ceiling(tmp_path, capsys):
     st = init_process(30, parse_pattern("C4"), 0)
-    run_until(st, Exhaustion())
+    run_until(st)
     path = tmp_path / "c4.edges"
     with open(path, "w") as fh:
         write_edge_list(st.graph, fh)
@@ -264,7 +264,7 @@ def test_density_threshold_check(tmp_path, capsys):
 
 def test_density_threshold_scans_once(tmp_path, capsys, monkeypatch):
     st = init_process(60, parse_pattern("C3"), 0)
-    run_until(st, Exhaustion())
+    run_until(st)
     path = tmp_path / "c3.edges"
     with open(path, "w") as fh:
         write_edge_list(st.graph, fh)
@@ -293,7 +293,7 @@ def test_density_threshold_scans_once(tmp_path, capsys, monkeypatch):
 
 def test_density_threshold_rescan_gets_the_pattern(tmp_path, capsys, monkeypatch):
     st = init_process(30, parse_pattern("C4"), 0)
-    run_until(st, Exhaustion())
+    run_until(st)
     path = tmp_path / "c4.edges"
     with open(path, "w") as fh:
         write_edge_list(st.graph, fh)

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hfree.config import ExperimentConfig, parse_config
 from hfree.density import SearchBudgetExceeded
 from hfree.harness import aggregate_stats, read_csv_rows, run_experiment, run_trial
+from hfree.patterns import parse_pattern
+from hfree.theory import step_horizon
 
 
 def test_config_round_trip():
@@ -30,19 +32,19 @@ _pattern_specs = st.one_of(
     .map(lambda pairs: "edges:" + ",".join(pairs)),
 )
 _rationals = st.one_of(st.none(), st.builds("{}/{}".format, _small, _small),
-                       st.builds("0.{:03d}".format, st.integers(0, 999)))
+                       st.builds("0.{:03d}".format, st.integers(1, 999)))
 
 
 @given(st.builds(
     ExperimentConfig,
     pattern=_pattern_specs,
-    n_values=st.lists(st.integers(min_value=1, max_value=10**5), min_size=1),
+    n_values=st.lists(st.integers(min_value=1, max_value=10**5), min_size=1, unique=True),
     trials=_small, seed=st.integers(min_value=0, max_value=10**9),
     stop=st.one_of(st.sampled_from(["exhaustion", "horizon"]),
                    st.builds("steps:{}".format, st.integers(0, 10**6))),
     eps=_rationals, mu=_rationals,
     checkpoints=st.one_of(st.sampled_from(["auto", "off"]),
-                          st.lists(st.integers(0, 10**6), min_size=1)
+                          st.lists(st.integers(1, 10**6), min_size=1)
                           .map(lambda xs: ",".join(map(str, xs)))),
     monitors=st.booleans(), cuv_samples=st.integers(0, 100),
     intersection_samples=st.integers(0, 1000),
@@ -84,6 +86,40 @@ def test_config_parse_errors():
         parse_config("slack = 3\n")
     cfg = parse_config("# comment\npattern = C3\nn = 10, 20\n")
     assert cfg.n_values == [10, 20]
+
+
+_UNUSABLE = [
+    ("n = 20, 20", {"n_values": [20, 20]}, "duplicate n values"),
+    ("checkpoints = 0, 5", {"checkpoints": "0,5"}, "steps are >= 1"),
+    ("density_budget = -5", {"density_budget": -5}, "density_budget must be >= 0"),
+    ("density_k = -1", {"density_k": -1}, "density_k must be >= 0"),
+    ("cuv_samples = -1", {"cuv_samples": -1}, "cuv_samples must be >= 0"),
+    ("intersection_samples = -2", {"intersection_samples": -2},
+     "intersection_samples must be >= 0"),
+    ("eps = banana", {"eps": "banana"}, "eps = 'banana': expected a positive rational"),
+    ("eps = 0", {"eps": "0"}, "eps = '0': expected a positive rational"),
+    ("mu = -2", {"mu": "-2"}, "mu = '-2': expected a positive rational"),
+    ("mu = 1/0", {"mu": "1/0"}, "mu = '1/0': expected a positive rational"),
+]
+
+
+@pytest.mark.parametrize("line,fields,message", _UNUSABLE, ids=[u[0] for u in _UNUSABLE])
+def test_unusable_values_are_rejected_before_writing(tmp_path, line, fields, message):
+    with pytest.raises(ValueError, match=message):
+        parse_config(f"pattern = C3\n{line}\n")
+    cfg = ExperimentConfig(**{"pattern": "C3", "n_values": [20], **fields})
+    out = tmp_path / "run"
+    out.mkdir()
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg, str(out))
+    assert os.listdir(out) == []
+
+
+def test_bad_integer_names_its_line():
+    with pytest.raises(ValueError, match="line 2: expected an integer, got 'x'"):
+        parse_config("pattern = C3\ntrials = x\n")
+    with pytest.raises(ValueError, match="line 1: expected an integer, got 'ten'"):
+        parse_config("n = 10, ten\n")
 
 
 def test_trial_seeds_distinct():
@@ -203,6 +239,29 @@ def test_horizon_undefined_at_some_n_records_those_trials(tmp_path, extra):
     assert [r["n"] for r in stats] == ["60", "60"]
     if cfg.stop == "horizon":
         assert [r["steps"] for r in stats] == ["9", "9"]
+
+
+@pytest.mark.parametrize("mu", [None, "1/20"])
+def test_horizon_trial_runs_step_horizon_steps(tmp_path, mu):
+    cfg = ExperimentConfig(pattern="C4", n_values=[40], trials=1, seed=3,
+                           stop="horizon", mu=mu)
+    assert run_experiment(cfg, str(tmp_path / "run")).ok
+    stats = read_csv_rows(str(tmp_path / "run" / "stats.csv"))
+    want = step_horizon(40, parse_pattern("C4"), mu)
+    assert want > 1 and [r["steps"] for r in stats] == [str(want)]
+    assert stats[0]["exhausted"] == "0"
+
+
+def test_horizon_undefined_at_some_n_leaves_only_listed_files(tmp_path):
+    cfg = ExperimentConfig(pattern="C3", n_values=[5, 60], trials=1, seed=0,
+                           stop="horizon", traj_log="full")
+    out = tmp_path / "run"
+    res = run_experiment(cfg, str(out))
+    assert [f.split(":")[0] for f in res.failures] == ["trial n=5 t=0"]
+    manifest = json.load(open(res.manifest_path))
+    assert sorted(os.listdir(out)) == sorted(manifest["files"] + ["manifest.json"])
+    assert not [f for f in os.listdir(out) if f.startswith("trial_n5_")]
+    assert "trial_n60_t000.traj.jsonl" in manifest["files"]
 
 
 def test_failed_trial_leaves_only_listed_files(tmp_path):

@@ -16,7 +16,7 @@ from hfree.density import (EXTREMAL_ROWS, POCKET_BEAM, SearchBudgetExceeded,
 from hfree.graphs import SimpleGraph, iter_bits, write_edge_list
 from hfree.oracle import naive_max_density
 from hfree.patterns import Pattern, contains_copy, parse_pattern
-from hfree.process import Exhaustion, init_process, run_until
+from hfree.process import init_process, run_until
 
 from conftest import PETERSEN_EDGES, random_graph, random_triangle_free
 
@@ -113,7 +113,7 @@ def test_heuristic_scan_empty_graph():
 def test_scan_on_process_graph_small():
     c3 = parse_pattern("C3")
     st = init_process(60, c3, 0)
-    run_until(st, Exhaustion())
+    run_until(st)
     rep = bounded_density_scan(st.graph, 10)
     assert rep.optimal
     assert rep.density == Fraction(23, 10)
@@ -136,7 +136,7 @@ def test_verify_density_bound_empirical(tmp_path, capsys):
     assert check["mode"] == "empirical" and not check["passed"]
     assert check["density"] == "11/2"
     st = init_process(60, parse_pattern("C3"), 2)
-    run_until(st, Exhaustion())
+    run_until(st)
     code, check = _threshold_check(tmp_path, capsys, st.graph, 10, 3.0)
     assert code == cli.EXIT_OK
     assert check["passed"] and check["vacuous"] is False
@@ -244,7 +244,7 @@ ROW_KEYS = {"size_cap", "density", "density_float", "witness", "method",
 
 def test_settle_path_on_maximal_triangle_free_host():
     st = init_process(60, parse_pattern("C3"), 0)
-    run_until(st, Exhaustion())
+    run_until(st)
     rep = bounded_density_scan(st.graph, 10)
     sizes = list(range(1, 11))
     assert list(rep.settled_by) == sizes == list(rep.nodes_by_size)
@@ -257,7 +257,7 @@ def test_settle_path_on_maximal_triangle_free_host():
 
 def test_settle_path_on_c4_free_host():
     st = init_process(30, parse_pattern("C4"), 0)
-    run_until(st, Exhaustion())
+    run_until(st)
     assert not is_triangle_free(st.graph)
     rep = bounded_density_scan(st.graph, 6)
     assert "anchor" not in rep.settled_by.values()
@@ -287,7 +287,7 @@ def test_settle_paths_all_three():
 def test_golden_pocket_warm(host, cap, want):
     if host == "c3-process":
         st = init_process(120, parse_pattern("C3"), 0)
-        run_until(st, Exhaustion())
+        run_until(st)
         g = st.graph
     elif host == "triangle-free":
         g = random_triangle_free(40, 300, 5)
@@ -734,7 +734,7 @@ def test_degeneracy_rank_only_for_branch_and_bound(monkeypatch):
 
 def _process_host(spec, n):
     st = init_process(n, parse_pattern(spec), 0)
-    run_until(st, Exhaustion())
+    run_until(st)
     return st.graph
 
 

@@ -229,30 +229,6 @@ def test_folded_search_matches_oracle(spec):
         assert contains_copy(p, g) == (want > 0), (g.n, g.edges())
 
 
-def test_anchored_enumeration_identity():
-    # summed over all host edges and all roles, anchored enumeration counts
-    # each embedding once per pattern edge; for K2 the anchor fills every
-    # position, and the two disjoint edges leave one with no placed neighbour
-    for spec in ("C3", "C4", "K1,3", "K2", "edges:1-2,3-4"):
-        p = parse_pattern(spec)
-        for seed in range(3):
-            g = random_graph(7, 0.5, seed + 20)
-            unanchored = count_embeddings(p, g)
-            total = 0
-            for role in range(p.edge_count):
-                for e in g.edges():
-                    total += sum(1 for _ in enumerate_embeddings(p, g, anchor=(role, e)))
-            assert total == unanchored * p.edge_count
-
-
-def test_anchored_requires_host_edge():
-    p = parse_pattern("C3")
-    g = SimpleGraph(4)
-    g.add_edge(0, 1)
-    with pytest.raises(ValueError):
-        list(enumerate_embeddings(p, g, anchor=(0, (2, 3))))
-
-
 # ── closure templates ────────────────────────────────────────────────────
 
 @pytest.mark.parametrize("spec", ["C3", "C4", "C5", "K4", "K3,3", "Q3"])
@@ -282,52 +258,55 @@ def test_two_orbit_template():
     assert len(closure_templates(p)) == 2
 
 
-# (base edges, missing pair, anchor roles, compiled plans) per template;
+# (base edges, missing pair, anchor roles, folded plans) per template;
 # pinned so that how Aut(H) is found cannot move the process's closure scan
-GOLDEN_TEMPLATES = {'C3': [(((0, 2), (1, 2)), (0, 1), (0,), [(((), (0,), (1,)), (0, 2), 0)])],
+GOLDEN_TEMPLATES = {'C3': [(((0, 2), (1, 2)),
+                            (0, 1),
+                            (0,),
+                            [(((), (0,)), (), True, False, 0, -1, 2)])],
                     'C4': [(((0, 3), (1, 2), (2, 3)),
                             (0, 1),
                             (0, 2),
-                            [(((), (0,), (1,), (2,)), (0, 3), 0),
-                             (((), (0,), (1,), (0,)), (2, 3), 2)])],
+                            [(((), (0,), (1,)), (), True, False, 0, -1, 2),
+                             (((), (0,), (1,)), (0,), False, True, 2, -1, 1)])],
                     'C5': [(((0, 4), (1, 2), (2, 3), (3, 4)),
                             (0, 1),
                             (0, 2),
-                            [(((), (0,), (1,), (2,), (3,)), (0, 4), 0),
-                             (((), (0,), (1,), (2,), (0,)), (3, 4), 3)])],
+                            [(((), (0,), (1,), (2,)), (), True, False, 0, -1, 2),
+                             (((), (0,), (1,), (2,)), (0,), False, True, 3, -1, 2)])],
                     'C6': [(((0, 5), (1, 2), (2, 3), (3, 4), (4, 5)),
                             (0, 1),
                             (0, 2, 3),
-                            [(((), (0,), (1,), (2,), (3,), (4,)), (0, 5), 0),
-                             (((), (0,), (1,), (2,), (3,), (0,)), (4, 5), 4),
-                             (((), (0,), (0,), (1,), (3,), (2,)), (4, 5), 4)])],
+                            [(((), (0,), (1,), (2,), (3,)), (), True, False, 0, -1, 2),
+                             (((), (0,), (1,), (2,), (3,)), (0,), False, True, 4, -1, 2),
+                             (((), (0,), (0,), (1,), (3,)), (2,), False, True, 4, -1, 1)])],
                     'C7': [(((0, 6), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)),
                             (0, 1),
                             (0, 2, 3),
-                            [(((), (0,), (1,), (2,), (3,), (4,), (5,)), (0, 6), 0),
-                             (((), (0,), (1,), (2,), (3,), (4,), (0,)), (5, 6), 5),
-                             (((), (0,), (0,), (1,), (3,), (4,), (2,)), (5, 6), 5)])],
+                            [(((), (0,), (1,), (2,), (3,), (4,)), (), True, False, 0, -1, 2),
+                             (((), (0,), (1,), (2,), (3,), (4,)), (0,), False, True, 5, -1, 2),
+                             (((), (0,), (0,), (1,), (3,), (4,)), (2,), False, True, 5, -1, 2)])],
                     'K4': [(((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
                             (0, 1),
                             (0, 4),
-                            [(((), (0,), (0, 1), (1, 2)), (0, 3), 0),
-                             (((), (0,), (0, 1), (0, 1)), (2, 3), 2)])],
+                            [(((), (0,), (0, 1)), (1,), True, False, 0, -1, 2),
+                             (((), (0,), (0, 1)), (0, 1), False, True, 2, -1, 1)])],
                     'K5': [(((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)),
                             (0, 1),
                             (0, 6),
-                            [(((), (0,), (0, 1), (0, 1, 2), (1, 2, 3)), (0, 4), 0),
-                             (((), (0,), (0, 1), (0, 1, 2), (0, 1, 2)), (3, 4), 3)])],
+                            [(((), (0,), (0, 1), (0, 1, 2)), (1, 2), True, False, 0, -1, 2),
+                             (((), (0,), (0, 1), (0, 1, 2)), (0, 1, 2), False, True, 3, -1, 1)])],
                     'K2,3': [(((0, 3), (0, 4), (1, 2), (1, 3), (1, 4)),
                               (0, 2),
                               (0, 2, 3),
-                              [(((), (0,), (1,), (0, 2), (2,)), (0, 4), 0),
-                               (((), (0,), (0,), (2,), (3, 0)), (3, 1), -1),
-                               (((), (0,), (1,), (2, 0), (0,)), (2, 4), 2)])],
+                              [(((), (0,), (1,), (0, 2)), (2,), False, False, 0, -1, 2),
+                               (((), (0,), (0,), (2,)), (0,), True, True, 3, 1, 2),
+                               (((), (0,), (1,), (2, 0)), (0,), False, False, 2, -1, 2)])],
                     'K3,3': [(((0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)),
                               (0, 3),
                               (0, 3),
-                              [(((), (0,), (1,), (0, 2), (1, 3), (2, 4)), (0, 5), 0),
-                               (((), (0,), (1,), (0, 2), (1, 3), (0, 2)), (4, 5), 4)])],
+                              [(((), (0,), (1,), (0, 2), (1, 3)), (2,), True, False, 0, -1, 2),
+                               (((), (0,), (1,), (0, 2), (1, 3)), (0, 2), False, True, 4, -1, 1)])],
                     'K3,4': [(((0, 4),
                                (0, 5),
                                (0, 6),
@@ -341,9 +320,27 @@ GOLDEN_TEMPLATES = {'C3': [(((0, 2), (1, 2)), (0, 1), (0,), [(((), (0,), (1,)), 
                                (2, 6)),
                               (0, 3),
                               (0, 3, 4),
-                              [(((), (0,), (1,), (0, 2), (1, 3), (0, 2, 4), (2, 4)), (0, 6), 0),
-                               (((), (0,), (1,), (0, 2), (0, 2), (3, 4), (5, 0, 2)), (5, 1), -1),
-                               (((), (0,), (1,), (0, 2), (1, 3), (4, 0, 2), (0, 2)), (4, 6), 4)])],
+                              [(((), (0,), (1,), (0, 2), (1, 3), (0, 2, 4)),
+                                (2, 4),
+                                False,
+                                False,
+                                0,
+                                -1,
+                                2),
+                               (((), (0,), (1,), (0, 2), (0, 2), (3, 4)),
+                                (0, 2),
+                                True,
+                                True,
+                                5,
+                                1,
+                                2),
+                               (((), (0,), (1,), (0, 2), (1, 3), (4, 0, 2)),
+                                (0, 2),
+                                False,
+                                False,
+                                4,
+                                -1,
+                                2)])],
                     'Q3': [(((0, 2),
                              (0, 4),
                              (1, 3),
@@ -357,15 +354,39 @@ GOLDEN_TEMPLATES = {'C3': [(((0, 2), (1, 2)), (0, 1), (0,), [(((), (0,), (1,)), 
                              (6, 7)),
                             (0, 1),
                             (0, 4, 5, 10),
-                            [(((), (0,), (1,), (0,), (1, 3), (2, 4), (3, 5), (2, 6)), (0, 7), 0),
-                             (((), (0,), (0,), (1, 2), (2,), (4, 3), (0, 4), (1, 5)), (6, 7), 6),
-                             (((), (0,), (0,), (2, 1), (1,), (4, 3), (0, 4), (2, 5)), (6, 7), 6),
-                             (((), (0,), (0,), (2, 1), (0,), (4, 1), (2, 4), (3, 5)), (6, 7), 6)])]}
+                            [(((), (0,), (1,), (0,), (1, 3), (2, 4), (3, 5)),
+                              (2,),
+                              True,
+                              False,
+                              0,
+                              -1,
+                              2),
+                             (((), (0,), (0,), (1, 2), (2,), (4, 3), (0, 4)),
+                              (1, 5),
+                              False,
+                              True,
+                              6,
+                              -1,
+                              1),
+                             (((), (0,), (0,), (2, 1), (1,), (4, 3), (0, 4)),
+                              (2, 5),
+                              False,
+                              True,
+                              6,
+                              -1,
+                              2),
+                             (((), (0,), (0,), (2, 1), (0,), (4, 1), (2, 4)),
+                              (3, 5),
+                              False,
+                              True,
+                              6,
+                              -1,
+                              1)])]}
 
 
 @pytest.mark.parametrize("spec", list(GOLDEN_TEMPLATES))
 def test_golden_closure_templates(spec):
-    got = [(t.base.edges, t.missing_pair, t.anchor_roles, t._plans)
+    got = [(t.base.edges, t.missing_pair, t.anchor_roles, t._folds)
            for t in closure_templates(parse_pattern(spec))]
     assert got == GOLDEN_TEMPLATES[spec]
 

@@ -15,19 +15,20 @@ from hfree.graphs import (SimpleGraph, pair_count, pair_from_index, pair_index,
 from hfree.oracle import naive_C_uv, naive_closed_set, naive_is_maximal_free
 from hfree.patterns import (Pattern, closure_templates, contains_copy,
                             parse_pattern, validate_as_constraint)
-from hfree.process import (CLOSED, EDGE, OPEN, RNG_ID, EdgeSetF, Exhaustion,
-                           Horizon, StepCount, compute_C_uv, compute_O_F,
-                           init_process, iter_process, newly_closed_after,
-                           run_until, step)
+from hfree.process import (CLOSED, EDGE, OPEN, RNG_ID, EdgeSetF, compute_C_uv,
+                           compute_O_F, init_process, iter_process,
+                           newly_closed_after, run_until, step)
+from hfree.theory import step_horizon
 
 C3 = parse_pattern("C3")
 C5 = parse_pattern("C5")
 
 
-def step_records(state, stop):
-    """(step, pair id, pairs closed) of every step to the stop rule."""
+def step_records(state, steps=None):
+    """(step, pair id, pairs closed) of every step to ``steps`` edges, or
+    to exhaustion."""
     return [(st.step, pair_index(*st.last_step[:2], st.n), st.last_step[2])
-            for st in iter_process(state, stop)]
+            for st in iter_process(state, steps)]
 
 
 def force_edge(state, u, v):
@@ -67,7 +68,7 @@ def test_init_rejections():
 def test_same_seed_identical():
     a = init_process(12, C3, 5)
     b = init_process(12, C3, 5)
-    assert step_records(a, Exhaustion()) == step_records(b, Exhaustion())
+    assert step_records(a) == step_records(b)
     assert list(a.graph.edges()) == list(b.graph.edges())
 
 
@@ -83,7 +84,7 @@ def test_n3_terminates_after_two_steps():
 def test_n4_all_seeds_maximal_triangle_free():
     for seed in range(100):
         st = init_process(4, C3, seed)
-        run_until(st, Exhaustion())
+        run_until(st)
         assert naive_is_maximal_free(st.graph, C3), seed
 
 
@@ -165,7 +166,7 @@ def test_lazy_draw_steps_like_the_full_array(spec, n, seed):
 
 def test_sample_open_draws_distinct_open_pairs():
     st = init_process(12, parse_pattern("C4"), 2)
-    run_until(st, StepCount(8))
+    run_until(st, 8)
     assert len(st._draw) > st.open_count() > 6  # dead entries present
     draw, state = st._draw[:], st.rng.getstate()
     rng = random.Random(5)
@@ -217,7 +218,7 @@ def reference_edges(n, pattern, seed):
 def test_reference_process_edge_sequences(spec, n):
     pattern = parse_pattern(spec)
     for seed in range(10):
-        states = iter_process(init_process(n, pattern, seed), Exhaustion())
+        states = iter_process(init_process(n, pattern, seed))
         fast = [st.last_step[:2] for st in states]
         assert fast == reference_edges(n, pattern, seed), seed
 
@@ -380,7 +381,7 @@ def test_compute_C_uv_matches_oracle_and_symmetry(spec, steps):
 
 def test_compute_C_uv_leaves_graph_unchanged(monkeypatch):
     st = init_process(10, parse_pattern("C4"), 3)
-    run_until(st, StepCount(12))
+    run_until(st, 12)
     adj, edges = list(st.graph.adj), st.graph.edge_count
     for pid in st.open_pair_ids()[:5]:
         compute_C_uv(st, pair_from_index(pid, st.n))
@@ -414,25 +415,34 @@ def test_compute_O_F():
 
 def test_run_until_step_count():
     st = init_process(10, C3, 0)
-    run_until(st, StepCount(0))
+    run_until(st, 0)
     assert st.step == 0
-    run_until(st, StepCount(5))
+    run_until(st, 5)
     assert st.step == 5
     # overshooting a terminated process flags instead of raising
-    run_until(st, StepCount(10**6))
+    run_until(st, 10**6)
     assert st.is_exhausted() and st.stopped_early
 
 
 def test_run_until_horizon():
     st = init_process(100, C3, 3)
-    run_until(st, Horizon(mu="0.01"))
+    run_until(st, step_horizon(100, C3, "0.01"))
     assert st.step == 21  # floor(0.01 * 100^2 * 0.1 * sqrt(ln 100))
+
+
+def test_negative_step_count_raises():
+    st = init_process(10, C3, 0)
+    with pytest.raises(ValueError, match="step count must be >= 0"):
+        next(iter_process(st, -1))
+    with pytest.raises(ValueError, match="step count must be >= 0"):
+        run_until(st, -1)
+    assert st.step == 0
 
 
 def test_last_step_records():
     st = init_process(8, C3, 2)
     assert st.last_step is None
-    records = step_records(st, StepCount(4))
+    records = step_records(st, 4)
     assert [r[0] for r in records] == [1, 2, 3, 4]
     for _, pid, closed in records:
         assert 0 <= pid < pair_count(8)
@@ -452,7 +462,7 @@ def test_edge_set_f_constructors():
 
 def _trajectory_digests(spec, n, seed):
     st = init_process(n, parse_pattern(spec), seed)
-    history = "".join(f"{s} {p} {c}\n" for s, p, c in step_records(st, Exhaustion()))
+    history = "".join(f"{s} {p} {c}\n" for s, p, c in step_records(st))
     edges = io.StringIO()
     write_edge_list(st.graph, edges)
     return (st.step, hashlib.sha256(history.encode()).hexdigest(),
