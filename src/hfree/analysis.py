@@ -11,12 +11,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .graphs import SimpleGraph, pair_from_index
 from .patterns import Pattern, contains_copy, count_automorphisms, count_embeddings
-from .process import (EdgeSetF, ProcessState, compute_C_uv,
-                      init_process, run_until, OPEN, EDGE, CLOSED)
+from .process import (ProcessState, compute_C_uv, init_process, run_until,
+                      OPEN, EDGE, CLOSED)
 from .theory import Constants, open_fraction, step_horizon
 
 # ── trajectory monitors ──────────────────────────────────────────────────
@@ -57,37 +57,28 @@ class CheckpointRecord:
         }
 
 
-@dataclass
-class TrajectoryStats:
-    records: list[CheckpointRecord] = field(default_factory=list)
-    notices: list[str] = field(default_factory=list)
-
-    def max_open_ratio(self) -> float:
-        return max((r.open_ratio for r in self.records), default=0.0)
-
-
 def monitor_trajectory(states: Iterator[ProcessState], constants: Constants,
                        checkpoints: Sequence[int], cuv_samples: int = 0,
-                       intersection_samples: int = 100,
-                       sample_seed: int = 0) -> TrajectoryStats:
+                       intersection_samples: int = 100, sample_seed: int = 0
+                       ) -> tuple[list[CheckpointRecord], list[str]]:
     """Consume a state stream and record monitor data at each checkpoint.
 
     Sampling uses its own seeded generator so that observing a trajectory
-    never perturbs it.  Checkpoints beyond the stream's lifetime are
-    reported as notices, not errors.
+    never perturbs it.  Returns (records, notices): checkpoints beyond the
+    stream's lifetime are reported as notices, not errors.
     """
     marks = set(checkpoints)
-    stats = TrajectoryStats()
+    records: list[CheckpointRecord] = []
     srng = random.Random(sample_seed)
     n2p = constants.n * constants.n * constants.p
     for state in states:               # each step is yielded once
         if state.step in marks:
-            stats.records.append(_checkpoint(state, constants, cuv_samples,
-                                             intersection_samples, srng, n2p))
-    reached = {rec.step for rec in stats.records}
-    stats.notices = [f"checkpoint {m} beyond process lifetime; skipped"
-                     for m in sorted(marks - reached)]
-    return stats
+            records.append(_checkpoint(state, constants, cuv_samples,
+                                       intersection_samples, srng, n2p))
+    reached = {rec.step for rec in records}
+    notices = [f"checkpoint {m} beyond process lifetime; skipped"
+               for m in sorted(marks - reached)]
+    return records, notices
 
 
 def _checkpoint(state: ProcessState, constants: Constants, cuv_samples: int,
@@ -148,51 +139,25 @@ def default_checkpoints(constants: Constants) -> list[int]:
 
 # ── small-subgraph counts at the step horizon ────────────────────────────
 
-@dataclass
-class CopyCountTrial:
-    seed: int
-    steps_run: int
-    present: bool
-    count: Optional[int]
-
-
-@dataclass
-class CopyCountResult:
-    pattern: str
-    target: str
-    n: int
-    impossible: bool             # target contains the forbidden graph
-    trials: list[CopyCountTrial] = field(default_factory=list)
-
-    def presence_rate(self) -> float:
-        if not self.trials:
-            return 0.0
-        return sum(1 for t in self.trials if t.present) / len(self.trials)
-
-
 def count_copies_at_m(pattern: Pattern, target: Pattern, n: int, mu,
-                      trials: int, base_seed: int = 0,
-                      presence_only: bool = True) -> CopyCountResult:
-    """Run the process to its step horizon and count (or just detect)
-    copies of the target.  A target containing the forbidden graph is
-    flagged impossible and not simulated."""
-    result = CopyCountResult(pattern=pattern.name, target=target.name, n=n,
-                             impossible=contains_copy(pattern, target.to_graph()))
-    if result.impossible:
-        return result
+                      trials: int, base_seed: int = 0, presence_only: bool = True
+                      ) -> Optional[list[tuple[int, Union[bool, int]]]]:
+    """Run the process to its step horizon and detect (or count) copies of
+    the target: one (steps run, present) per trial, or (steps run, copies)
+    when not ``presence_only``.  None for a target containing the forbidden
+    graph, which cannot appear; nothing is simulated then."""
+    if contains_copy(pattern, target.to_graph()):
+        return None
     steps = step_horizon(n, pattern, mu)
+    runs: list[tuple[int, Union[bool, int]]] = []
     for trial in range(trials):
         state = run_until(init_process(n, pattern, base_seed + trial), steps)
         if presence_only:
-            present = contains_copy(target, state.graph)
-            count = None
+            value = contains_copy(target, state.graph)
         else:
-            count = count_embeddings(target, state.graph) // count_automorphisms(target)
-            present = count > 0
-        result.trials.append(CopyCountTrial(seed=base_seed + trial,
-                                            steps_run=state.step,
-                                            present=present, count=count))
-    return result
+            value = count_embeddings(target, state.graph) // count_automorphisms(target)
+        runs.append((state.step, value))
+    return runs
 
 
 def baseline_uniform_process(n: int, steps: int, seed: int) -> SimpleGraph:
@@ -212,42 +177,25 @@ def baseline_uniform_process(n: int, steps: int, seed: int) -> SimpleGraph:
 
 # ── key-inequality diagnostic ────────────────────────────────────────────
 
-@dataclass
-class KeyInequalityRecord:
-    step: int
-    in_step_range: bool          # m/2 <= i <= m
-    a: int                       # |A|
-    f_size: int
-    f_open: int
-    f_edges: int
-    f_closed: int
-    o_f_size: int
-    sum_cuv: int
-    sum_pairwise_intersections: int
-    inclusion_exclusion_bound: int
-    reference: float             # 13 a ln(n) / m * |O(i)|
-    open_count: int
-    meets_reference: bool
-    identity_holds: bool         # |O_F| >= sum - pairwise
-    f_open_identity: Optional[bool]  # |F∩Open| == |F| - |F∩Edge| when F∩Closed empty
-
-    def as_dict(self) -> dict:
-        return self.__dict__.copy()
-
-
-def check_key_inequality(state: ProcessState, f: EdgeSetF,
-                         constants: Constants) -> KeyInequalityRecord:
-    """Exact |O_F|, its inclusion-exclusion lower bound, and the reference
-    value 13 a ln(n)/m * |O(i)|, all recorded (out-of-range steps are
-    computed anyway and flagged)."""
+def check_key_inequality(state: ProcessState, vertices: Iterable[int],
+                         f: Iterable[int], constants: Constants) -> dict:
+    """For a vertex set A and a set F of pairs inside A (pair ids): exact
+    |O_F|, its inclusion-exclusion lower bound sum |C_uv| - sum of pairwise
+    intersections, and the reference value 13 a ln(n)/m * |O(i)|, a = |A|.
+    All are recorded; an out-of-range step (outside m/2 <= i <= m) is
+    computed anyway and flagged.  ``f_open_identity`` is
+    |F∩Open| == |F| - |F∩Edge| when F has no closed pair, else None."""
     n = state.n
     i = state.step
     m = constants.m_steps
-    verts = f.vertex_span(n)
-    a = len(verts)
+    verts = set(vertices)
+    pids = set(f)
     by_class: dict[int, list[int]] = {OPEN: [], EDGE: [], CLOSED: []}
-    for pid in f.pairs:
-        by_class[state.class_of(*pair_from_index(pid, n))].append(pid)
+    for pid in pids:
+        u, v = pair_from_index(pid, n)
+        if u not in verts or v not in verts:
+            raise ValueError(f"pair ({u},{v}) of F is not inside the vertex set")
+        by_class[state.class_of(u, v)].append(pid)
     open_pids, edge_pids, closed_pids = by_class.values()
     cuv = {pid: compute_C_uv(state, pair_from_index(pid, n)) for pid in open_pids}
     o_f = set().union(*cuv.values())
@@ -255,36 +203,26 @@ def check_key_inequality(state: ProcessState, f: EdgeSetF,
     pairwise = sum(len(a & b) for a, b in combinations(cuv.values(), 2))
     bound = sum_sizes - pairwise
     open_count = state.open_count()
-    reference = 13.0 * a * math.log(n) / m * open_count
+    reference = 13.0 * len(verts) * math.log(n) / m * open_count
     f_open_identity = None
     if not closed_pids:
-        f_open_identity = len(open_pids) == len(f.pairs) - len(edge_pids)
-    return KeyInequalityRecord(
-        step=i, in_step_range=(m / 2 <= i <= m), a=a,
-        f_size=len(f.pairs), f_open=len(open_pids), f_edges=len(edge_pids),
-        f_closed=len(closed_pids), o_f_size=len(o_f), sum_cuv=sum_sizes,
-        sum_pairwise_intersections=pairwise, inclusion_exclusion_bound=bound,
-        reference=reference, open_count=open_count,
-        meets_reference=len(o_f) >= reference,
-        identity_holds=len(o_f) >= bound,
-        f_open_identity=f_open_identity)
+        f_open_identity = len(open_pids) == len(pids) - len(edge_pids)
+    return {
+        "step": i, "in_step_range": m / 2 <= i <= m, "a": len(verts),
+        "f_size": len(pids), "f_open": len(open_pids), "f_edges": len(edge_pids),
+        "f_closed": len(closed_pids), "o_f_size": len(o_f), "sum_cuv": sum_sizes,
+        "sum_pairwise_intersections": pairwise, "inclusion_exclusion_bound": bound,
+        "reference": reference, "open_count": open_count,
+        "meets_reference": len(o_f) >= reference,
+        "identity_holds": len(o_f) >= bound,
+        "f_open_identity": f_open_identity,
+    }
 
 
 # ── final-edge exponent fit ──────────────────────────────────────────────
 
-@dataclass
-class ExponentFit:
-    slope: float
-    intercept: float
-    stderr: float
-    n_points: int
-
-    def band(self, width: float = 2.0) -> tuple[float, float]:
-        return (self.slope - width * self.stderr, self.slope + width * self.stderr)
-
-
-def fit_edge_exponent(counts: Iterable[tuple[int, float]]) -> ExponentFit:
-    """Least-squares slope of ln(mean count) vs ln(n).
+def fit_edge_exponent(counts: Iterable[tuple[int, float]]) -> tuple[float, float]:
+    """Least-squares slope of ln(mean count) vs ln(n) and its standard error.
 
     Input is (n, count) records; needs at least 4 distinct n values with at
     least 3 records each.
@@ -311,9 +249,5 @@ def fit_edge_exponent(counts: Iterable[tuple[int, float]]) -> ExponentFit:
     sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = ybar - slope * xbar
-    if k > 2:
-        resid = sum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
-        stderr = math.sqrt(resid / (k - 2) / sxx)
-    else:
-        stderr = 0.0
-    return ExponentFit(slope=slope, intercept=intercept, stderr=stderr, n_points=k)
+    resid = sum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
+    return slope, math.sqrt(resid / (k - 2) / sxx)

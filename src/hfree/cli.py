@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__, density
@@ -82,12 +83,12 @@ def cmd_simulate(args) -> int:
         cfg = parse_config(fh.read())
     if args.seed is not None:
         cfg.seed = args.seed
-    result = run_experiment(cfg, args.out, force=args.force, workers=args.workers)
-    if result.failures:
-        for line in result.failures:
+    failures = run_experiment(cfg, args.out, force=args.force, workers=args.workers)
+    if failures:
+        for line in failures:
             print(f"FAILED {line}", file=sys.stderr)
         return EXIT_PARTIAL_FAILURE
-    print(f"ok: outputs in {result.out_dir} (manifest {result.manifest_path})")
+    print(f"ok: outputs in {args.out} (manifest {os.path.join(args.out, 'manifest.json')})")
     return EXIT_OK
 
 

@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, TextIO
 
 from . import __version__
@@ -125,13 +124,13 @@ def run_trial(cfg_text: str, n: int, n_index: int, trial: int,
             monitor_rows = []
             notices = []
             if cfg.monitors:
-                stats = monitor_trajectory(states, constants, checkpoints,
-                                           cuv_samples=cfg.cuv_samples,
-                                           intersection_samples=cfg.intersection_samples,
-                                           sample_seed=seed + 7919)
+                records, skipped = monitor_trajectory(
+                    states, constants, checkpoints, cuv_samples=cfg.cuv_samples,
+                    intersection_samples=cfg.intersection_samples,
+                    sample_seed=seed + 7919)
                 monitor_rows = [{"n": n, "trial": trial, **rec.as_row()}
-                                for rec in stats.records]
-                notices = [f"trial n={n} t={trial}: {line}" for line in stats.notices]
+                                for rec in records]
+                notices = [f"trial n={n} t={trial}: {line}" for line in skipped]
             else:
                 for _ in states:
                     pass
@@ -170,22 +169,14 @@ def run_trial(cfg_text: str, n: int, n_index: int, trial: int,
             "notices": notices}
 
 
-@dataclass
-class RunResult:
-    out_dir: str
-    manifest_path: str
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
-                   workers: Optional[int] = None) -> RunResult:
-    """Run every trial of ``cfg`` into ``out_dir``.  A config that would
-    fail every trial raises ValueError before anything is written."""
+                   workers: Optional[int] = None) -> list[str]:
+    """Run every trial of ``cfg`` into ``out_dir`` and return the failed
+    trials, one line each.  A config that would fail every trial raises
+    ValueError before anything is written."""
     cfg.validate()
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     pattern = parse_pattern(cfg.pattern)
     validate_as_constraint(pattern)
     if max(cfg.n_values) < pattern.n:
@@ -263,8 +254,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
     manifest["notices"] = [line for res in done for line in res["notices"]]
     manifest["finalized"] = True
     _write_manifest(manifest_path, manifest)
-    return RunResult(out_dir=out_dir, manifest_path=manifest_path,
-                     failures=failures)
+    return failures
 
 
 # ── aggregation ──────────────────────────────────────────────────────────
@@ -309,8 +299,8 @@ def aggregate_stats(out_dir: str) -> dict:
     out = {"by_n": summary, "config_hash": manifest["config_hash"]}
     if len(by_n) >= 4 and all(len(v) >= 3 for v in by_n.values()):
         from .analysis import fit_edge_exponent
-        fit = fit_edge_exponent([(n, v) for n, vals in by_n.items() for v in vals])
-        out["edge_exponent"] = {"slope": fit.slope, "stderr": fit.stderr}
+        slope, stderr = fit_edge_exponent([(n, v) for n, vals in by_n.items() for v in vals])
+        out["edge_exponent"] = {"slope": slope, "stderr": stderr}
     mon_path = os.path.join(out_dir, "monitors.csv")
     if os.path.exists(mon_path):
         mon = read_csv_rows(mon_path)

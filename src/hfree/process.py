@@ -28,12 +28,10 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
 from itertools import compress, count, starmap
 from typing import Iterable, Iterator, Optional, Union
 
-from .graphs import (SimpleGraph, pair_count, pair_from_index, pair_index,
-                     pair_row_offsets)
+from .graphs import SimpleGraph, pair_count, pair_from_index, pair_row_offsets
 from .patterns import (Pattern, _run_plan, closure_templates,
                        validate_as_constraint)
 
@@ -259,43 +257,12 @@ def compute_C_uv(state: ProcessState, uv: tuple[int, int]) -> set[int]:
         adj[v] ^= 1 << u
 
 
-@dataclass(frozen=True)
-class EdgeSetF:
-    """A set of vertex pairs (by pair id) within an optional vertex set."""
-
-    pairs: frozenset[int]
-    vertices: Optional[tuple[int, ...]] = None
-
-    @classmethod
-    def from_vertex_pairs(cls, pairs: Iterable[tuple[int, int]], n: int,
-                          vertices: Optional[Iterable[int]] = None) -> "EdgeSetF":
-        pids = frozenset(pair_index(u, v, n) for u, v in pairs)
-        verts = tuple(sorted(vertices)) if vertices is not None else None
-        return cls(pairs=pids, vertices=verts)
-
-    @classmethod
-    def random_in_vertex_set(cls, vertices: Iterable[int], count: int,
-                             n: int, rng: random.Random) -> "EdgeSetF":
-        verts = sorted(set(vertices))
-        all_pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]]
-        if count > len(all_pairs):
-            raise ValueError(f"cannot pick {count} pairs inside {len(verts)} vertices")
-        chosen = rng.sample(all_pairs, count)
-        return cls.from_vertex_pairs(chosen, n, vertices=verts)
-
-    def vertex_span(self, n: int) -> tuple[int, ...]:
-        if self.vertices is not None:
-            return self.vertices
-        return tuple(sorted({w for pid in self.pairs for w in pair_from_index(pid, n)}))
-
-
-def compute_O_F(state: ProcessState, f: Union[EdgeSetF, Iterable[int]]) -> set[int]:
-    """Union of compute_C_uv over the pairs of F that are currently open:
-    the open pairs whose selection as the next edge would close at least
-    one pair of F."""
-    pids = f.pairs if isinstance(f, EdgeSetF) else f
+def compute_O_F(state: ProcessState, f: Iterable[int]) -> set[int]:
+    """Union of compute_C_uv over the pairs of F (pair ids) that are
+    currently open: the open pairs whose selection as the next edge would
+    close at least one pair of F."""
     out: set[int] = set()
-    for pid in pids:
+    for pid in f:
         uv = pair_from_index(pid, state.n)
         if state.class_of(*uv) == OPEN:
             out |= compute_C_uv(state, uv)

@@ -22,7 +22,7 @@ from hfree.graphs import pair_from_index
 from hfree.harness import run_experiment
 from hfree.oracle import naive_C_uv, naive_closed_set, naive_is_maximal_free
 from hfree.patterns import parse_pattern
-from hfree.process import (EDGE, OPEN, EdgeSetF, compute_C_uv, compute_O_F,
+from hfree.process import (EDGE, OPEN, compute_C_uv, compute_O_F,
                            init_process, iter_process, run_until, step)
 from hfree.theory import Constants, density_constants, step_horizon
 
@@ -109,9 +109,9 @@ def test_criterion_2_cuv_of_equivalence(mid_states):
             checked_uv += 1
         size = rng.randint(1, 10)
         all_pids = list(range(n * (n - 1) // 2))
-        f = EdgeSetF(pairs=frozenset(rng.sample(all_pids, size)))
+        f = frozenset(rng.sample(all_pids, size))
         want = set()
-        for pid in f.pairs:
+        for pid in f:
             if _class(st, pid) == OPEN:
                 want |= naive_C_uv(st.graph, C3, pair_from_index(pid, n))
         assert compute_O_F(st, f) == want, (st.seed, st.step)
@@ -128,8 +128,8 @@ def test_criterion_3_set_identities(mid_states):
     open_identity_checks = 0
     for st, rng in mid_states:
         all_pids = list(range(n * (n - 1) // 2))
-        f = EdgeSetF(pairs=frozenset(rng.sample(all_pids, rng.randint(1, 10))))
-        open_pids = [pid for pid in f.pairs if _class(st, pid) == OPEN]
+        f = frozenset(rng.sample(all_pids, rng.randint(1, 10)))
+        open_pids = [pid for pid in f if _class(st, pid) == OPEN]
         cuv = {pid: compute_C_uv(st, pair_from_index(pid, n)) for pid in open_pids}
         o_f = set()
         for s in cuv.values():
@@ -169,11 +169,11 @@ def test_criterion_4_final_edge_scaling():
     jobs = [(n, seed) for n in (100, 200, 400, 800, 1600) for seed in range(5)]
     with ProcessPoolExecutor(max_workers=2) as pool:
         counts = list(pool.map(_final_edges, jobs))
-    fit = fit_edge_exponent(counts)
+    slope, stderr = fit_edge_exponent(counts)
     elapsed = time.time() - t0
-    assert 1.40 <= fit.slope <= 1.60, fit
+    assert 1.40 <= slope <= 1.60, (slope, stderr)
     assert elapsed < 1800, f"runtime budget exceeded: {elapsed:.0f}s"
-    print(f"\nACCEPTANCE 4 PASS: final-edge exponent {fit.slope:.3f} "
+    print(f"\nACCEPTANCE 4 PASS: final-edge exponent {slope:.3f} "
           f"in [1.40, 1.60] over n=100..1600, 5 trials each ({elapsed:.0f}s)")
 
 
@@ -191,12 +191,12 @@ def test_criterion_5_open_pair_monitor():
     ok_trials = 0
     for seed in range(trials):
         st = init_process(n, C3, seed)
-        stats = monitor_trajectory(iter_process(st, consts.m_steps),
-                                   consts, marks, cuv_samples=5,
-                                   intersection_samples=10,
-                                   sample_seed=seed)
-        assert len(stats.records) == len(marks)
-        worst = stats.max_open_ratio()
+        records, _ = monitor_trajectory(iter_process(st, consts.m_steps),
+                                        consts, marks, cuv_samples=5,
+                                        intersection_samples=10,
+                                        sample_seed=seed)
+        assert len(records) == len(marks)
+        worst = max(r.open_ratio for r in records)
         ratios.append(worst)
         if worst < slack:
             ok_trials += 1
@@ -214,12 +214,11 @@ def test_criterion_6_subgraph_presence():
     # below the 5-cycle appearance threshold, so the asymptotic statement
     # has not kicked in; see the pilot derivation in the run notes
     n, trials, mu = 300, 20, "0.06"
-    res = count_copies_at_m(C3, parse_pattern("C5"), n, mu, trials=trials)
-    assert not res.impossible
-    rate = res.presence_rate()
+    runs = count_copies_at_m(C3, parse_pattern("C5"), n, mu, trials=trials)
+    assert runs is not None
+    rate = sum(present for _, present in runs) / len(runs)
     assert rate >= 0.95, rate
-    res_same = count_copies_at_m(C3, C3, n, mu, trials=trials)
-    assert res_same.impossible
+    assert count_copies_at_m(C3, C3, n, mu, trials=trials) is None
     print(f"\nACCEPTANCE 6 PASS: 5-cycle present in {rate:.0%} of {trials} "
           f"trials at n={n} (horizon {step_horizon(n, C3, mu)} steps, mu={mu}); "
           f"impossibility flagged for the forbidden pattern itself")

@@ -161,7 +161,8 @@ def test_simulate_analyze_roundtrip(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg_path),
                            "--out", str(out_dir))
-    assert code == 0 and "manifest" in out
+    assert code == 0
+    assert out == f"ok: outputs in {out_dir} (manifest {out_dir / 'manifest.json'})\n"
     code, out, _ = run_cli(capsys, "analyze", str(out_dir), "--json")
     assert code == 0
     summary = json.loads(out)
@@ -201,6 +202,19 @@ def test_simulate_run_level_error_fails_fast(tmp_path, capsys, fields, message):
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
                            "--out", str(tmp_path / "out"))
     assert code == cli.EXIT_USAGE and message in err
+    assert not (tmp_path / "direct").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_simulate_workers_below_one_is_rejected_before_writing(tmp_path, capsys, workers):
+    cfg = ExperimentConfig(pattern="C3", n_values=[12], trials=2)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_experiment(cfg, str(tmp_path / "direct"), workers=workers)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(cfg.to_text())
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                           "--out", str(tmp_path / "out"), "--workers", str(workers))
+    assert code == cli.EXIT_USAGE and "workers must be >= 1" in err
     assert not (tmp_path / "direct").exists() and not (tmp_path / "out").exists()
 
 

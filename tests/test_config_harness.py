@@ -133,9 +133,8 @@ def test_run_experiment_outputs(tmp_path):
                            stop="exhaustion", density_k=5,
                            copy_patterns=["C5"], traj_log="full")
     out = tmp_path / "run"
-    res = run_experiment(cfg, str(out))
-    assert res.ok
-    manifest = json.load(open(res.manifest_path))
+    assert not run_experiment(cfg, str(out))
+    manifest = json.load(open(out / "manifest.json"))
     assert manifest["finalized"]
     listed = set(manifest["files"]) | {"manifest.json"}
     actual = set(os.listdir(out))
@@ -162,8 +161,8 @@ def test_rerun_byte_identical(tmp_path):
                            stop="exhaustion", monitors=True, cuv_samples=2,
                            density_k=4, copy_patterns=["C4"], traj_log="full")
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run_experiment(cfg, str(a)).ok
-    assert run_experiment(cfg, str(b)).ok
+    assert not run_experiment(cfg, str(a))
+    assert not run_experiment(cfg, str(b))
     files = sorted(os.listdir(a))
     assert files == sorted(os.listdir(b))
     for f in files:
@@ -186,10 +185,9 @@ def test_serial_equals_parallel(tmp_path):
 
 def test_partial_failure_recorded(tmp_path):
     cfg = ExperimentConfig(pattern="C5", n_values=[3, 20], trials=1, seed=0)
-    res = run_experiment(cfg, str(tmp_path / "run"))   # n=3 below pattern size
-    assert not res.ok
-    assert any("n=3" in f for f in res.failures)
-    manifest = json.load(open(res.manifest_path))
+    failures = run_experiment(cfg, str(tmp_path / "run"))   # n=3 below pattern size
+    assert any("n=3" in f for f in failures)
+    manifest = json.load(open(tmp_path / "run" / "manifest.json"))
     assert manifest["failures"]
 
 
@@ -231,8 +229,8 @@ def test_every_trial_failing_is_rejected_before_writing(tmp_path, pattern, n_val
 def test_horizon_undefined_at_some_n_records_those_trials(tmp_path, extra):
     cfg = ExperimentConfig(pattern="C3", n_values=[5, 60], trials=2, seed=0,
                            **extra)
-    res = run_experiment(cfg, str(tmp_path / "run"))
-    assert sorted(res.failures) == [
+    failures = run_experiment(cfg, str(tmp_path / "run"))
+    assert sorted(failures) == [
         f"trial n=5 t={t}: step horizon 0.142 < 1: n=5 too small for this regime"
         for t in range(2)]
     stats = read_csv_rows(str(tmp_path / "run" / "stats.csv"))
@@ -245,7 +243,7 @@ def test_horizon_undefined_at_some_n_records_those_trials(tmp_path, extra):
 def test_horizon_trial_runs_step_horizon_steps(tmp_path, mu):
     cfg = ExperimentConfig(pattern="C4", n_values=[40], trials=1, seed=3,
                            stop="horizon", mu=mu)
-    assert run_experiment(cfg, str(tmp_path / "run")).ok
+    assert not run_experiment(cfg, str(tmp_path / "run"))
     stats = read_csv_rows(str(tmp_path / "run" / "stats.csv"))
     want = step_horizon(40, parse_pattern("C4"), mu)
     assert want > 1 and [r["steps"] for r in stats] == [str(want)]
@@ -256,9 +254,9 @@ def test_horizon_undefined_at_some_n_leaves_only_listed_files(tmp_path):
     cfg = ExperimentConfig(pattern="C3", n_values=[5, 60], trials=1, seed=0,
                            stop="horizon", traj_log="full")
     out = tmp_path / "run"
-    res = run_experiment(cfg, str(out))
-    assert [f.split(":")[0] for f in res.failures] == ["trial n=5 t=0"]
-    manifest = json.load(open(res.manifest_path))
+    failures = run_experiment(cfg, str(out))
+    assert [f.split(":")[0] for f in failures] == ["trial n=5 t=0"]
+    manifest = json.load(open(out / "manifest.json"))
     assert sorted(os.listdir(out)) == sorted(manifest["files"] + ["manifest.json"])
     assert not [f for f in os.listdir(out) if f.startswith("trial_n5_")]
     assert "trial_n60_t000.traj.jsonl" in manifest["files"]
@@ -276,18 +274,16 @@ def test_failed_trial_leaves_only_listed_files(tmp_path):
         run_trial(cfg.to_text(), 15, 0, 0, str(one))
     assert os.listdir(one) == []   # the edge list and trajectory log are gone
     out = tmp_path / "run"
-    res = run_experiment(cfg, str(out))
-    assert not res.ok
-    manifest = json.load(open(res.manifest_path))
+    assert run_experiment(cfg, str(out))
+    manifest = json.load(open(out / "manifest.json"))
     assert sorted(os.listdir(out)) == sorted(manifest["files"] + ["manifest.json"])
 
 
 def test_unreached_checkpoints_are_manifest_notices(tmp_path):
     cfg = ExperimentConfig(pattern="C4", n_values=[30], trials=2, seed=0,
                            monitors=True, checkpoints="5,10,40,100000")
-    res = run_experiment(cfg, str(tmp_path / "run"))
-    assert res.ok
-    manifest = json.load(open(res.manifest_path))
+    assert not run_experiment(cfg, str(tmp_path / "run"))
+    manifest = json.load(open(tmp_path / "run" / "manifest.json"))
     assert manifest["failures"] == []
     assert manifest["notices"] == [
         f"trial n=30 t={t}: checkpoint 100000 beyond process lifetime; skipped"
@@ -300,7 +296,7 @@ def test_comma_pattern_targets_run_end_to_end(tmp_path):
     cfg = ExperimentConfig(pattern="C4", n_values=[12], trials=1, seed=2,
                            copy_patterns=["K1,3", "edges:1-2,2-3"])
     out = tmp_path / "run"
-    assert run_experiment(cfg, str(out)).ok
+    assert not run_experiment(cfg, str(out))
     assert '"K1,3"' in (out / "copies.csv").read_text()
     rows = read_csv_rows(str(out / "copies.csv"))
     assert [r["target"] for r in rows] == ["K1,3", "edges:1-2,2-3"]

@@ -15,9 +15,9 @@ from hfree.graphs import (SimpleGraph, pair_count, pair_from_index, pair_index,
 from hfree.oracle import naive_C_uv, naive_closed_set, naive_is_maximal_free
 from hfree.patterns import (Pattern, closure_templates, contains_copy,
                             parse_pattern, validate_as_constraint)
-from hfree.process import (CLOSED, EDGE, OPEN, RNG_ID, EdgeSetF, compute_C_uv,
-                           compute_O_F, init_process, iter_process,
-                           newly_closed_after, run_until, step)
+from hfree.process import (CLOSED, EDGE, OPEN, RNG_ID, compute_C_uv, compute_O_F,
+                           init_process, iter_process, newly_closed_after,
+                           run_until, step)
 from hfree.theory import step_horizon
 
 C3 = parse_pattern("C3")
@@ -401,16 +401,14 @@ def test_compute_O_F():
     st = init_process(5, C3, 0)
     for (u, v) in [(0, 1), (2, 3)]:
         force_edge(st, u, v)
-    f = EdgeSetF.from_vertex_pairs([(0, 2), (1, 3)], 5)
+    f = [pair_index(0, 2, 5), pair_index(1, 3, 5)]
     want = compute_C_uv(st, (0, 2)) | compute_C_uv(st, (1, 3))
     assert compute_O_F(st, f) == want
     assert want  # this instance genuinely closes something
     # union of one set
-    f1 = EdgeSetF.from_vertex_pairs([(0, 2)], 5)
-    assert compute_O_F(st, f1) == compute_C_uv(st, (0, 2))
+    assert compute_O_F(st, [pair_index(0, 2, 5)]) == compute_C_uv(st, (0, 2))
     # F with no open pairs
-    f_edges = EdgeSetF.from_vertex_pairs([(0, 1), (2, 3)], 5)
-    assert compute_O_F(st, f_edges) == set()
+    assert compute_O_F(st, [pair_index(0, 1, 5), pair_index(2, 3, 5)]) == set()
 
 
 def test_run_until_step_count():
@@ -449,15 +447,6 @@ def test_last_step_records():
         assert st.class_of(*pair_from_index(pid, 8)) == EDGE
         assert closed >= 0
     assert st.closed_count() == sum(r[2] for r in records)
-
-
-def test_edge_set_f_constructors():
-    rng = random.Random(0)
-    f = EdgeSetF.random_in_vertex_set([1, 3, 5, 7], 4, 10, rng)
-    assert len(f.pairs) == 4
-    assert f.vertex_span(10) == (1, 3, 5, 7)
-    with pytest.raises(ValueError):
-        EdgeSetF.random_in_vertex_set([1, 2, 3], 4, 10, rng)
 
 
 def _trajectory_digests(spec, n, seed):
