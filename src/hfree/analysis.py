@@ -15,8 +15,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .graphs import SimpleGraph, pair_from_index
 from .patterns import Pattern, contains_copy, count_automorphisms, count_embeddings
-from .process import (ProcessState, compute_C_uv, init_process, run_until,
-                      OPEN, EDGE, CLOSED)
+from .process import (ProcessState, co_closure_masks, compute_C_uv, count_common_pairs,
+                      count_pairs, init_process, run_until, OPEN, EDGE, CLOSED)
 from .theory import Constants, open_fraction, step_horizon
 
 # ── trajectory monitors ──────────────────────────────────────────────────
@@ -108,20 +108,23 @@ def _checkpoint(state: ProcessState, constants: Constants, cuv_samples: int,
         max_degree=max(state.graph.degrees),
         closed_count=state.closed_count(),
     )
+    # C_uv as partner masks, counted in place; the two samples draw from
+    # ``srng`` in this order
+    cache: dict[tuple[int, int], dict[int, int]] = {}
     if cuv_samples > 0 and open_count > 0:
         rec.cuv_reference = (float(constants.beta) * (2 * t) ** (eh - 2)
                              * open_fraction(t, constants.pattern) / constants.p)
-        picks = state.sample_open(srng, cuv_samples)
-        rec.cuv_sizes = [len(compute_C_uv(state, uv)) for uv in picks]
-        if intersection_samples > 0 and open_count >= 2:
-            rec.intersection_reference = state.n ** (-1.0 / eh) / constants.p
-            cache: dict[tuple[int, int], set[int]] = {}
-            for _ in range(intersection_samples):
-                a, b = state.sample_open(srng, 2)
-                for uv in (a, b):
-                    if uv not in cache:
-                        cache[uv] = compute_C_uv(state, uv)
-                rec.intersection_sizes.append(len(cache[a] & cache[b]))
+        for uv in state.sample_open(srng, cuv_samples):
+            cache[uv] = co_closure_masks(state, uv)
+            rec.cuv_sizes.append(count_pairs(cache[uv]))
+    if intersection_samples > 0 and open_count >= 2:
+        rec.intersection_reference = state.n ** (-1.0 / eh) / constants.p
+        for _ in range(intersection_samples):
+            a, b = state.sample_open(srng, 2)
+            for uv in (a, b):
+                if uv not in cache:
+                    cache[uv] = co_closure_masks(state, uv)
+            rec.intersection_sizes.append(count_common_pairs(cache[a], cache[b]))
     return rec
 
 

@@ -11,24 +11,27 @@ order, once over half of it is dead: no array holds more than half the pairs.
 
 The classification is two bitmasks per vertex: bit v of ``graph.adj[u]`` is
 set iff uv is an edge, bit v of ``open_nbr[u]`` iff uv is open, and a pair
-with neither bit is closed.  The closure scan runs each compiled plan but
-its last position L through the plan executor ``patterns._run_plan``, which
-yields the candidates of position L-1, and finishes both levels with mask
-operations: L's candidates are the AND of ``adj`` over its placed parents,
-minus the placed images.  When the closed pair has an end at L-1, each
-candidate c of L-1 is finished in turn; otherwise all of them at once,
-through the union of their ``adj`` masks.  The pairs closed are L's
-candidates ANDed with the open neighbours of the pair's other end, or, when
-L is not an end, the one missing pair if L has a candidate and its
-``open_nbr`` bit is set.  The scan returns a partner mask per vertex, and
-``_retire`` clears each mask with one AND against ``open_nbr``.
+with neither bit is closed.  The closure scan runs each compiled plan
+folded: the candidates of position L-1 come from the plan executor
+``patterns._run_plan``, or directly when L-1 is the anchor's end or the one
+free position (an AND of ``adj``), and L's candidates are ``base``, the AND
+of ``adj`` over L's parents other than L-1, minus the placed images.  It has
+three fold shapes.  When the missing pair has no end at L-1, all of L-1's
+candidates are finished at once, through the OR of their ``adj`` masks, and
+close L's candidates ANDed with the open neighbours of the pair's other
+end, or the one missing pair if L has a candidate.  When it is {L-1, L},
+each candidate c closes ``open_nbr[c] & base``.  Otherwise it joins L-1 to
+an earlier position, and each c closes that pair if L has a candidate.  The
+scan returns a partner mask per vertex, which may hold a pair at both ends:
+``_retire`` clears each mask with one AND against ``open_nbr``, and the
+monitors count C_uv and its intersections on the masks, with no pair ids.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from itertools import compress, count, starmap
+from itertools import chain, compress, count, starmap
 from typing import Iterable, Iterator, Optional, Union
 
 from .graphs import SimpleGraph, pair_count, pair_from_index, pair_row_offsets
@@ -84,9 +87,10 @@ class ProcessState:
     def _row_ids(self, masks: Iterable[int]) -> Iterator[int]:
         """Ids of the pairs {u, v}, u < v, with bit v of ``masks[u]`` set,
         in increasing order."""
-        for u, m in enumerate(masks):
-            row = bin(m >> u + 1)[:1:-1].encode().translate(_BITS)
-            yield from compress(count(self._off[u]), row)
+        off = self._off
+        return chain.from_iterable(
+            compress(count(off[u]), bin(m >> u + 1)[:1:-1].encode().translate(_BITS))
+            for u, m in enumerate(masks))
 
     def open_pair_ids(self) -> list[int]:
         return list(self._row_ids(self.open_nbr))
@@ -150,36 +154,57 @@ class ProcessState:
         out: dict[int, int] = {}
         for head, rest, adjc, per_c, ap, bp, ways in self._folds:
             cp = len(head) - 1                  # position L-1
-            img = [0] * (cp + 2)
+            img = [0] * (cp + 1)
             for hx, hy in ((x, y), (y, x))[:ways]:
                 img[0], img[1] = hx, hy
                 anchor = (1 << hx) | (1 << hy)
-                for cands in _run_plan(head, adj, img, anchor, 2):
+                if cp == 1:                     # L-1 is the anchor's end
+                    heads: Iterable[int] = (1 << hy,)
+                elif cp == 2:                   # L-1 is the one free position
+                    cands = ~anchor
+                    for p in head[2]:
+                        cands &= adj[img[p]]
+                    heads = (cands,) if cands else ()
+                else:
+                    heads = _run_plan(head, adj, img, anchor, 2)
+                for cands in heads:
                     base = ~anchor
                     for p in range(2, cp):
                         base &= ~(1 << img[p])
                     for p in rest:
                         base &= adj[img[p]]
-                    while cands:
-                        # finish one image c of L-1, or all of them at once
-                        c = cands.bit_length() - 1
-                        cs = 1 << c if per_c else cands
-                        cands ^= cs
+                    if not per_c:               # every image of L-1 at once
                         if adjc:
-                            last, m = 0, cs
+                            last, m = 0, cands
                             while m:
                                 w = m.bit_length() - 1
                                 last |= adj[w]
                                 m ^= 1 << w
                             last &= base
                         else:
-                            last = base if cs & (cs - 1) else base & ~cs
-                        img[cp] = c
+                            last = base if cands & (cands - 1) else base & ~cands
                         a = img[ap]
                         # L's candidates, or the missing pair's bit if any
                         hits = open_nbr[a] & (last if bp < 0 else last and 1 << img[bp])
                         if hits:
                             out[a] = out.get(a, 0) | hits
+                    elif bp < 0:                # the missing pair is {L-1, L}
+                        while cands:            # (open_nbr[c] never holds c)
+                            c = cands.bit_length() - 1
+                            cands ^= 1 << c
+                            hits = open_nbr[c] & base
+                            if hits:
+                                out[c] = out.get(c, 0) | hits
+                    else:                       # one end at L-1, one before it
+                        while cands:
+                            c = cands.bit_length() - 1
+                            cands ^= 1 << c
+                            if base & adj[c] if adjc else base & ~(1 << c):
+                                img[cp] = c
+                                a = img[ap]
+                                hits = open_nbr[a] & 1 << img[bp]
+                                if hits:
+                                    out[a] = out.get(a, 0) | hits
         return out
 
 
@@ -238,10 +263,9 @@ def run_until(state: ProcessState, steps: Optional[int] = None) -> ProcessState:
 
 # ── on-demand co-closure sets ────────────────────────────────────────────
 
-def compute_C_uv(state: ProcessState, uv: tuple[int, int]) -> set[int]:
-    """Exact set of open pair ids xy such that adding both uv and xy would
-    create a forbidden copy using both.  Computed by running the closure
-    scan with uv added to the state's graph for the duration of the call
+def co_closure_masks(state: ProcessState, uv: tuple[int, int]) -> dict[int, int]:
+    """C_uv as the closure scan's partner masks: the scan runs with the
+    open pair uv added to the state's graph for the duration of the call
     (adjacency bits only; they are cleared again even if the scan raises)."""
     u, v = uv
     cls = state.class_of(u, v)
@@ -251,10 +275,49 @@ def compute_C_uv(state: ProcessState, uv: tuple[int, int]) -> set[int]:
     adj[u] |= 1 << v
     adj[v] |= 1 << u
     try:
-        return state._pair_ids(state._closure_scan(u, v))
+        return state._closure_scan(u, v)
     finally:
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
+
+
+def compute_C_uv(state: ProcessState, uv: tuple[int, int]) -> set[int]:
+    """Exact set of open pair ids xy such that adding both uv and xy would
+    create a forbidden copy using both."""
+    return state._pair_ids(co_closure_masks(state, uv))
+
+
+def count_pairs(masks: dict[int, int]) -> int:
+    """|C_uv| from its partner masks, as their intersection with themselves."""
+    return count_common_pairs(masks, masks)
+
+
+def count_common_pairs(a_masks: dict[int, int], b_masks: dict[int, int]) -> int:
+    """|C_a & C_b| from partner masks: each pair {a, w} of ``a_masks`` is
+    counted once, at its lower end if both ends (then both keys) hold it,
+    and is common if ``b_masks`` holds it at either end."""
+    keys = b_keys = b_ends = 0
+    for a in a_masks:
+        keys |= 1 << a
+    for b, m in b_masks.items():
+        b_keys |= 1 << b
+        b_ends |= m
+    total = 0
+    for a, m in a_masks.items():
+        twice = m & keys & ((1 << a) - 1)   # counted at the lower end w
+        while twice:
+            w = twice.bit_length() - 1
+            twice ^= 1 << w
+            m ^= (a_masks[w] >> a & 1) << w
+        hit = m & b_masks.get(a, 0)
+        total += hit.bit_count()
+        if b_ends >> a & 1:                 # b_masks holds a as a partner
+            far = m & b_keys & ~hit
+            while far:
+                w = far.bit_length() - 1
+                far ^= 1 << w
+                total += b_masks[w] >> a & 1
+    return total
 
 
 def compute_O_F(state: ProcessState, f: Iterable[int]) -> set[int]:

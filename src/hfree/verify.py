@@ -18,7 +18,8 @@ from .patterns import contains_copy, count_automorphisms, count_embeddings, pars
 from .density import biclique_sides, bounded_density_scan, contains_biclique
 from .oracle import (naive_C_uv, naive_closed_set, naive_count_copies,
                      naive_is_maximal_free, naive_max_density)
-from .process import compute_C_uv, init_process, run_until, step
+from .process import (co_closure_masks, compute_C_uv, count_common_pairs, count_pairs,
+                      init_process, run_until, step)
 
 DEFAULT_CLOSURE_PATTERNS = ("C3", "C4")
 DEFAULT_COUNT_PATTERNS = ("C3", "C4", "C5", "K1,3", "K2,3", "K3,3")
@@ -61,8 +62,10 @@ def verify_closure(n: int = 12, seeds: int = 5,
 def verify_cuv(n: int = 12, seeds: int = 5, samples: int = 3,
                patterns: tuple[str, ...] = DEFAULT_CLOSURE_PATTERNS,
                ) -> tuple[list[str], int]:
-    """Spot-check compute_C_uv against the definitional pair scan on
-    mid-trajectory states; a state with no open pair compares nothing."""
+    """Spot-check compute_C_uv and the monitors' mask counts of |C_uv| and
+    of its intersection with the previous sample's set against the
+    definitional pair scan on mid-trajectory states; a state with no open
+    pair compares nothing."""
     mismatches = []
     compared = 0
     for spec in patterns:
@@ -71,14 +74,18 @@ def verify_cuv(n: int = 12, seeds: int = 5, samples: int = 3,
             state = init_process(n, pattern, seed)
             rng = random.Random(seed + 1)
             run_until(state, max(1, rng.randrange(1, max(2, n))))
+            prev: tuple = ({}, set())      # the previous sample's masks and set
             for uv in state.sample_open(rng, samples):
-                got = compute_C_uv(state, uv)
-                want = naive_C_uv(state.graph, pattern, uv)
+                masks, want = co_closure_masks(state, uv), naive_C_uv(state.graph, pattern, uv)
+                got = (sorted(compute_C_uv(state, uv)), count_pairs(masks),
+                       count_common_pairs(masks, prev[0]))
+                need = (sorted(want), len(want), len(want & prev[1]))
                 compared += 1
-                if got != want:
+                if got != need:
                     mismatches.append(
-                        f"C_uv mismatch: pattern={spec} n={n} seed={seed} "
-                        f"step={state.step} uv={uv}: {sorted(got)} vs {sorted(want)}")
+                        f"C_uv mismatch: pattern={spec} n={n} seed={seed} step={state.step} "
+                        f"uv={uv}: (C_uv, mask size, mask common with previous) {got} vs {need}")
+                prev = masks, want
     return mismatches, compared
 
 

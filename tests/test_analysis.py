@@ -38,6 +38,17 @@ def test_monitor_trajectory_records():
     assert not notices
 
 
+def test_intersections_are_sampled_without_cuv_samples():
+    c4 = parse_pattern("C4")
+    consts = Constants.for_run(c4, 40)
+    records, _ = monitor_trajectory(iter_process(init_process(40, c4, 0), 60), consts,
+                                    [20, 60], cuv_samples=0, intersection_samples=50)
+    for rec in records:
+        assert rec.cuv_sizes == [] and rec.cuv_reference == 0
+        assert len(rec.intersection_sizes) == 50 and rec.intersection_reference > 0
+        assert rec.as_row()["ix_max"] != ""
+
+
 def test_monitor_skips_dead_checkpoints():
     consts = Constants.for_run(C3, 30)
     st = init_process(30, C3, 1)

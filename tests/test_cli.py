@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hfree import cli, density
+from hfree import cli, density, verify
 from hfree.config import ExperimentConfig
 from hfree.graphs import write_edge_list
 from hfree.harness import run_experiment
@@ -142,6 +142,15 @@ def test_verify_cuv_counts_pairs_compared():
         want += min(samples, state.open_count())
     assert verify_cuv(n=n, seeds=seeds, samples=samples, patterns=("C3",)) == ([], want)
     assert want < seeds * samples
+
+
+@pytest.mark.parametrize("counter", ["count_pairs", "count_common_pairs"])
+def test_verify_cuv_checks_the_mask_counts(monkeypatch, counter):
+    real = getattr(verify, counter)
+    monkeypatch.setattr(verify, counter, lambda *masks: real(*masks) + 1)
+    mismatches, compared = verify_cuv(n=10, seeds=2, samples=3, patterns=("C4",))
+    assert compared == 6 and len(mismatches) == 6
+    assert "(C_uv, mask size, mask common with previous)" in mismatches[0]
 
 
 def test_verify_density_covers_triangle_free_hosts():

@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as hs
 from hfree.graphs import (SimpleGraph, pair_count, pair_from_index, pair_index,
                           write_edge_list)
 from hfree.oracle import naive_C_uv, naive_closed_set, naive_is_maximal_free
-from hfree.patterns import (Pattern, closure_templates, contains_copy,
+from hfree.patterns import (Pattern, _run_plan, closure_templates, contains_copy,
                             parse_pattern, validate_as_constraint)
-from hfree.process import (CLOSED, EDGE, OPEN, RNG_ID, compute_C_uv, compute_O_F,
-                           init_process, iter_process, newly_closed_after,
-                           run_until, step)
+from hfree.process import (CLOSED, EDGE, OPEN, RNG_ID, co_closure_masks, compute_C_uv,
+                           compute_O_F, count_common_pairs, count_pairs, init_process,
+                           iter_process, newly_closed_after, run_until, step)
 from hfree.theory import step_horizon
 
 C3 = parse_pattern("C3")
@@ -377,6 +377,106 @@ def test_compute_C_uv_matches_oracle_and_symmetry(spec, steps):
             for xy_pid in got:
                 xy = pair_from_index(xy_pid, st.n)
                 assert pid in compute_C_uv(st, xy)
+
+
+def _per_image_closure_scan(state, x, y):
+    """The closure scan as it was with every fold run through one loop:
+    ``_run_plan`` for L-1's candidates, then each image of L-1 in turn, or
+    all of them at once, with the same mask operations."""
+    adj, open_nbr, out = state.graph.adj, state.open_nbr, {}
+    for head, rest, adjc, per_c, ap, bp, ways in state._folds:
+        cp = len(head) - 1
+        img = [0] * (cp + 2)
+        for hx, hy in ((x, y), (y, x))[:ways]:
+            img[0], img[1] = hx, hy
+            anchor = (1 << hx) | (1 << hy)
+            for cands in _run_plan(head, adj, img, anchor, 2):
+                base = ~anchor
+                for p in range(2, cp):
+                    base &= ~(1 << img[p])
+                for p in rest:
+                    base &= adj[img[p]]
+                while cands:
+                    c = cands.bit_length() - 1
+                    cs = 1 << c if per_c else cands
+                    cands ^= cs
+                    if adjc:
+                        last, m = 0, cs
+                        while m:
+                            w = m.bit_length() - 1
+                            last |= adj[w]
+                            m ^= 1 << w
+                        last &= base
+                    else:
+                        last = base if cs & (cs - 1) else base & ~cs
+                    img[cp] = c
+                    a = img[ap]
+                    hits = open_nbr[a] & (last if bp < 0 else last and 1 << img[bp])
+                    if hits:
+                        out[a] = out.get(a, 0) | hits
+    return out
+
+
+@pytest.mark.parametrize("spec,n", [("C3", 12), ("C4", 12), ("C5", 12), ("C6", 12),
+                                    ("K4", 10), ("K2,3", 10), ("K3,3", 10), ("Q3", 10)])
+def test_closure_scan_matches_the_per_image_loop(spec, n):
+    """Each fold shape's loop returns the masks of the one general loop, in
+    the same order, on every step and with a temporary edge (the C_uv
+    scan) on sampled open pairs; Q3's head still runs through _run_plan."""
+    st = init_process(n, parse_pattern(spec), 4)
+    scan, found = st._closure_scan, []
+
+    def both(x, y):
+        got = scan(x, y)
+        assert list(got.items()) == list(_per_image_closure_scan(st, x, y).items())
+        found.append(bool(got))
+        return got
+
+    st._closure_scan = both
+    rng = random.Random(4)
+    while not st.is_exhausted():
+        step(st)
+        for uv in st.sample_open(rng, 3):
+            co_closure_masks(st, uv)
+    assert any(found) and not all(found)
+
+
+def _twice_held(masks):
+    return sum(masks.get(w, 0) >> a & 1 for a, m in masks.items()
+               for w in range(a + 1, m.bit_length()) if m >> w & 1)
+
+
+@pytest.mark.parametrize("spec,n", [("C3", 14), ("C4", 14), ("C5", 14), ("C6", 14),
+                                    ("K4", 12), ("K2,3", 12), ("K3,3", 12)])
+def test_mask_counts_match_the_pair_id_sets(spec, n):
+    """count_pairs is |C_uv| and count_common_pairs is |C_a & C_b| for every
+    ordered pair of sampled open pairs, at several steps of two runs."""
+    twice = 0
+    for seed in range(2):
+        st = init_process(n, parse_pattern(spec), seed)
+        rng = random.Random(seed)
+        for steps in (4, 10, 18):
+            run_until(st, steps)
+            picks = st.sample_open(rng, 12)
+            masks = [co_closure_masks(st, uv) for uv in picks]
+            sets = [compute_C_uv(st, uv) for uv in picks]
+            for a, ids_a in zip(masks, sets):
+                twice += _twice_held(a)
+                assert count_pairs(a) == len(ids_a)
+                assert count_common_pairs(a, {}) == count_common_pairs({}, a) == 0
+                for b, ids_b in zip(masks, sets):
+                    assert count_common_pairs(a, b) == len(ids_a & ids_b)
+    # some of the C5, C6, K4 and K2,3 scans find a pair from both its ends
+    assert twice > 0 or spec in ("C3", "C4", "K3,3")
+
+
+def test_mask_counts_of_pairs_held_at_both_ends():
+    twice = {0: 0b1110, 1: 0b0001, 3: 0b0101}       # {0,1} and {0,3} twice
+    assert count_pairs(twice) == 4 == len({(0, 1), (0, 2), (0, 3), (2, 3)})
+    assert count_pairs({}) == 0
+    assert count_common_pairs(twice, twice) == 4
+    assert count_common_pairs(twice, {2: 0b1001}) == 2     # {0,2}, {2,3} at 2
+    assert count_common_pairs({2: 0b1001}, twice) == 2
 
 
 def test_compute_C_uv_leaves_graph_unchanged(monkeypatch):
