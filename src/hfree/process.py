@@ -6,15 +6,20 @@ enumerating embeddings of each closure template's base anchored at that
 edge and reading off the image of the missing pair.  Uniform sampling from
 the open pairs draws ids from a sequence that holds each open pair once and
 accepts an id iff its mask bit is set.  It starts as ``range(pair_count(n))``
-and is never edited, only rebuilt from the masks as a 4-byte array, in id
-order, once over half of it is dead: no array holds more than half the pairs.
+and is never edited, only replaced once over half of it is dead by a
+snapshot of the open masks, ``rows[u] = open_nbr[u] >> (u + 1)``, and the
+running count of their bits, ``cum``.  Entry i is the (i - cum[u])-th set
+bit of row u = bisect_right(cum, i) - 1, so the snapshot holds the open
+ids in id order, as a list of them would, in at most n^2/16 bytes where a
+4-byte id array needed up to n^2; ``draw_open`` selects the bit in place.
 
 The classification is two bitmasks per vertex: bit v of ``graph.adj[u]`` is
 set iff uv is an edge, bit v of ``open_nbr[u]`` iff uv is open, and a pair
 with neither bit is closed.  The closure scan runs each compiled plan
 folded: the candidates of position L-1 come from the plan executor
-``patterns._run_plan``, or directly when L-1 is the anchor's end or the one
-free position (an AND of ``adj``), and L's candidates are ``base``, the AND
+``patterns._run_plan``, or directly when L-1 is the anchor's end (then the
+scan reads the closed pairs straight off the masks) or the one free
+position (an AND of ``adj``), and L's candidates are ``base``, the AND
 of ``adj`` over L's parents other than L-1, minus the placed images.  It has
 three fold shapes.  When the missing pair has no end at L-1, all of L-1's
 candidates are finished at once, through the OR of their ``adj`` masks, and
@@ -23,7 +28,7 @@ end, or the one missing pair if L has a candidate.  When it is {L-1, L},
 each candidate c closes ``open_nbr[c] & base``.  Otherwise it joins L-1 to
 an earlier position, and each c closes that pair if L has a candidate.  The
 scan returns a partner mask per vertex, which may hold a pair at both ends:
-``_retire`` clears each mask with one AND against ``open_nbr``, and the
+the step retires each mask with one AND against ``open_nbr``, and the
 monitors count C_uv and its intersections on the masks, with no pair ids.
 """
 
@@ -31,7 +36,8 @@ from __future__ import annotations
 
 import random
 from array import array
-from itertools import chain, compress, count, starmap
+from bisect import bisect_right
+from itertools import accumulate, chain, compress, count
 from typing import Iterable, Iterator, Optional, Union
 
 from .graphs import SimpleGraph, pair_count, pair_from_index, pair_row_offsets
@@ -43,6 +49,33 @@ CLASS_NAMES = {OPEN: "open", EDGE: "edge", CLOSED: "closed"}
 
 RNG_ID = "python-random-mt19937+draw-array"
 _BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _ids(rows: Iterable[int], off: list[int]) -> Iterator[int]:
+    """Pair ids of the set bits of ``rows[u]``, whose bit k is the pair
+    {u, u + 1 + k}, in increasing order."""
+    return chain.from_iterable(
+        compress(count(o), bin(m)[:1:-1].encode().translate(_BITS))
+        for o, m in zip(off, rows))
+
+
+class _Snapshot:
+    """The open pair ids at a rebuild, in increasing order, read off the
+    open masks without listing them: ``rows[u] = open_nbr[u] >> (u + 1)``,
+    and ``cum[u]`` ids lie in the rows before u."""
+
+    __slots__ = ("rows", "cum", "off")
+
+    def __init__(self, open_nbr: list[int], off: list[int]):
+        self.rows = [m >> u + 1 for u, m in enumerate(open_nbr)]
+        self.cum = array("Q", accumulate(map(int.bit_count, self.rows), initial=0))
+        self.off = off
+
+    def __len__(self) -> int:
+        return self.cum[-1]
+
+    def __iter__(self) -> Iterator[int]:
+        return _ids(self.rows, self.off)
 
 
 class ProcessState:
@@ -60,7 +93,7 @@ class ProcessState:
         full = (1 << n) - 1
         self.open_nbr = [full ^ (1 << u) for u in range(n)]
         self._open = pair_count(n)
-        self._draw: Union[range, array] = range(self._open)
+        self._draw: Union[range, _Snapshot] = range(self._open)
         self.step = 0
         self.last_step: Optional[tuple[int, int, int]] = None  # (u, v, closed)
         self.stopped_early = False
@@ -87,10 +120,7 @@ class ProcessState:
     def _row_ids(self, masks: Iterable[int]) -> Iterator[int]:
         """Ids of the pairs {u, v}, u < v, with bit v of ``masks[u]`` set,
         in increasing order."""
-        off = self._off
-        return chain.from_iterable(
-            compress(count(off[u]), bin(m >> u + 1)[:1:-1].encode().translate(_BITS))
-            for u, m in enumerate(masks))
+        return _ids((m >> u + 1 for u, m in enumerate(masks)), self._off)
 
     def open_pair_ids(self) -> list[int]:
         return list(self._row_ids(self.open_nbr))
@@ -101,11 +131,34 @@ class ProcessState:
                                  zip(self.graph.adj, self.open_nbr)))
 
     def draw_open(self, rng: random.Random) -> tuple[int, int]:
-        """Endpoints of a uniformly random open pair (one must exist):
-        entries of ``_draw`` are drawn until one is open; it is not changed."""
-        draw, open_nbr, n = self._draw, self.open_nbr, self.n
+        """Endpoints of a uniformly random open pair: entries of ``_draw``
+        are drawn until one is open; it is not changed."""
+        if not self._open:
+            raise RuntimeError("process exhausted: no open pair remains")
+        draw, open_nbr = self._draw, self.open_nbr
+        if type(draw) is not _Snapshot:
+            n = self.n
+            while True:
+                u, v = pair_from_index(draw[rng.randrange(len(draw))], n)
+                if (open_nbr[u] >> v) & 1:
+                    return u, v
+        rows, cum = draw.rows, draw.cum
         while True:
-            u, v = pair_from_index(draw[rng.randrange(len(draw))], n)
+            i = rng.randrange(cum[-1])
+            u = bisect_right(cum, i) - 1
+            j, m, v = i - cum[u], rows[u], u + 1
+            h = 1 << m.bit_length().bit_length()
+            while j and h:              # set bit j of m, from the lowest:
+                h >>= 1                 # halve m's span until it is m's lowest
+                low = m & ((1 << h) - 1)
+                c = low.bit_count()
+                if j < c:
+                    m = low
+                else:
+                    j -= c
+                    m >>= h
+                    v += h
+            v += (m & -m).bit_length() - 1
             if (open_nbr[u] >> v) & 1:
                 return u, v
 
@@ -154,17 +207,23 @@ class ProcessState:
         out: dict[int, int] = {}
         for head, rest, adjc, per_c, ap, bp, ways in self._folds:
             cp = len(head) - 1                  # position L-1
+            if cp == 1:                         # L-1 is the anchor's end hy,
+                for hx, hy in ((x, y), (y, x))[:ways]:  # L's other parent hx
+                    base = ~((1 << hx) | (1 << hy)) & (adj[hx] if rest else -1)
+                    a = hy if per_c else hx     # the missing pair is {a, L}
+                    hits = open_nbr[a] & base & (adj[hy] if adjc else -1)
+                    if hits:
+                        out[a] = out.get(a, 0) | hits
+                continue
             img = [0] * (cp + 1)
             for hx, hy in ((x, y), (y, x))[:ways]:
                 img[0], img[1] = hx, hy
                 anchor = (1 << hx) | (1 << hy)
-                if cp == 1:                     # L-1 is the anchor's end
-                    heads: Iterable[int] = (1 << hy,)
-                elif cp == 2:                   # L-1 is the one free position
+                if cp == 2:                     # L-1 is the one free position
                     cands = ~anchor
                     for p in head[2]:
                         cands &= adj[img[p]]
-                    heads = (cands,) if cands else ()
+                    heads: Iterable[int] = (cands,) if cands else ()
                 else:
                     heads = _run_plan(head, adj, img, anchor, 2)
                 for cands in heads:
@@ -227,16 +286,30 @@ def step(state: ProcessState) -> tuple[int, int]:
     """Add one uniformly random open pair as an edge; update the
     classification; record the pair and how many pairs it closed in
     ``state.last_step``; return the pair."""
-    if not state._open:
+    left = state._open
+    if not left:
         raise RuntimeError("process exhausted: no open pair remains")
-    if len(state._draw) > 2 * state._open:
-        state._draw = array("I")    # the old draw is freed first: the rebuild
-        state._draw.extend(state._row_ids(state.open_nbr))  # reads only the masks
+    if len(state._draw) > 2 * left:
+        state._draw = range(0)      # the old draw is freed first
+        state._draw = _Snapshot(state.open_nbr, state._off)
     u, v = state.draw_open(state.rng)
-    state._retire(u, 1 << v)
-    state.graph.add_edge(u, v)
+    open_nbr, adj = state.open_nbr, state.graph.adj
+    open_nbr[u] ^= 1 << v           # an open pair: the edge bits are clear
+    open_nbr[v] ^= 1 << u
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    state.graph.edge_count += 1
     state.step += 1
-    closed = sum(starmap(state._retire, state._closure_scan(u, v).items()))
+    closed = 0
+    for a, mask in state._closure_scan(u, v).items():
+        mask &= open_nbr[a]         # retire the pairs {a, w} still open
+        open_nbr[a] ^= mask
+        closed += mask.bit_count()
+        while mask:
+            w = mask.bit_length() - 1
+            mask ^= 1 << w
+            open_nbr[w] ^= 1 << a
+    state._open = left - 1 - closed
     state.last_step = (u, v, closed)
     return (u, v)
 

@@ -1,6 +1,9 @@
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from array import array
 from collections import Counter
@@ -10,6 +13,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as hs
 
+import hfree
 from hfree.graphs import (SimpleGraph, pair_count, pair_from_index, pair_index,
                           write_edge_list)
 from hfree.oracle import naive_C_uv, naive_closed_set, naive_is_maximal_free
@@ -17,7 +21,7 @@ from hfree.patterns import (Pattern, _run_plan, closure_templates, contains_copy
                             parse_pattern, validate_as_constraint)
 from hfree.process import (CLOSED, EDGE, OPEN, RNG_ID, co_closure_masks, compute_C_uv,
                            compute_O_F, count_common_pairs, count_pairs, init_process,
-                           iter_process, newly_closed_after, run_until, step)
+                           _Snapshot, iter_process, newly_closed_after, run_until, step)
 from hfree.theory import step_horizon
 
 C3 = parse_pattern("C3")
@@ -126,12 +130,71 @@ def test_rebuild_holds_the_open_ids_in_order():
     st = init_process(10, C3, 1)
     assert st._draw == range(pair_count(10))
     _run_to(st, lambda s: len(s._draw) > 2 * s.open_count())
-    assert type(st._draw) is range  # no array before the first rebuild
+    assert type(st._draw) is range  # no snapshot before the first rebuild
     before = st.open_pair_ids()
     pid = pair_index(*step(st), st.n)
-    assert type(st._draw) is array and st._draw.typecode == "I"
-    assert list(st._draw) == before
+    assert type(st._draw) is _Snapshot
+    assert len(st._draw) == len(before) and list(st._draw) == before
     assert pid in before and st.class_of(*pair_from_index(pid, st.n)) == EDGE
+
+
+class _Pick:
+    """An rng whose one draw is entry ``i``; a second draw means entry i
+    was not open."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def randrange(self, k):
+        i, self.i = self.i, None
+        assert i is not None, "the entry drawn was not open"
+        assert 0 <= i < k
+        return i
+
+
+@pytest.mark.parametrize("spec,n", [("C3", 40), ("C4", 30), ("K4", 20)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_snapshot_draws_the_open_ids_in_order(spec, n, seed):
+    # at each rebuild, entry i of the snapshot is the i-th open id, both
+    # iterated and as draw_open selects it, through empty rows and up to
+    # the last entry; the snapshot is made here, as the step would make
+    # it, so that a wrong select fails before the step draws from it
+    st = init_process(n, parse_pattern(spec), seed)
+    rebuilds = gaps = 0
+    while not st.is_exhausted():
+        if len(st._draw) > 2 * st.open_count():
+            snap = st._draw = _Snapshot(st.open_nbr, st._off)
+            ids = st.open_pair_ids()
+            assert len(snap) == len(ids) and list(snap) == ids
+            for i, pid in enumerate(ids):
+                assert st.draw_open(_Pick(i)) == pair_from_index(pid, n), i
+            rows = [u for u, m in enumerate(snap.rows) if m]
+            gaps += rows[-1] - rows[0] + 1 > len(rows)
+            rebuilds += 1
+            step(st)
+            assert st._draw is snap
+        else:
+            step(st)
+    assert rebuilds >= 3 and gaps
+
+
+def test_draw_open_refuses_an_exhausted_state():
+    # the exhausted state still holds dead draw entries; run in a child
+    # process so that a draw loop that never ends fails instead of hanging
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hfree.__file__)))
+    probe = (f"import sys, random; sys.path.insert(0, {src!r})\n"
+             "from hfree.patterns import parse_pattern\n"
+             "from hfree.process import init_process, run_until\n"
+             "st = run_until(init_process(12, parse_pattern('C3'), 0))\n"
+             "assert st.is_exhausted() and len(st._draw) > 0\n"
+             "try:\n"
+             "    st.draw_open(random.Random(0))\n"
+             "except RuntimeError as exc:\n"
+             "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert "exhausted" in out.stdout
 
 
 def _full_array_step(state):
@@ -189,6 +252,24 @@ def test_init_process_memory_per_pair():
     finally:
         tracemalloc.stop()
     assert peak < pair_count(n) / 2
+
+
+def test_process_memory_per_pair_to_exhaustion():
+    # above the level after init: the adjacency masks grow to about n^2/8
+    # bytes (a quarter byte per pair) and a draw snapshot holds n^2/16
+    # bytes, two of them if both were alive at a rebuild; with slack on
+    # top of that half byte, 1 byte per pair
+    n = 1000
+    tracemalloc.start()
+    try:
+        st = init_process(n, C3, 0)
+        base = tracemalloc.get_traced_memory()[0]
+        run_until(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.is_exhausted()
+    assert peak - base < pair_count(n)
 
 
 def reference_edges(n, pattern, seed):
