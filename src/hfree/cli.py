@@ -17,7 +17,7 @@ from .config import parse_config
 from .density import EXACT_CAP_LIMIT, bounded_density_scan
 from .graphs import read_edge_list
 from .harness import aggregate_stats, run_experiment
-from .patterns import parse_pattern
+from .patterns import parse_pattern, validate_as_constraint
 from .theory import Constants
 from .verify import run_verification
 
@@ -94,6 +94,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_params(args) -> int:
     pattern = parse_pattern(args.pattern)
+    validate_as_constraint(pattern)
     constants = Constants.for_run(pattern, args.n, eps=args.eps, mu=args.mu)
     data = constants.as_dict()
     if args.json:

@@ -83,13 +83,6 @@ class SimpleGraph:
             m ^= lsb
         return total // 2
 
-    def copy(self) -> "SimpleGraph":
-        g = SimpleGraph.__new__(SimpleGraph)
-        g.n = self.n
-        g.adj = self.adj[:]
-        g.edge_count = self.edge_count
-        return g
-
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, edges={self.edge_count})"
 

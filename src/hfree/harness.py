@@ -16,7 +16,7 @@ import time
 from typing import Iterator, Optional, TextIO
 
 from . import __version__
-from .analysis import default_checkpoints, monitor_trajectory
+from .analysis import default_checkpoints, fit_edge_exponent, monitor_trajectory
 from .config import ExperimentConfig, parse_config
 from .density import EXACT_CAP_LIMIT, bounded_density_scan
 from .graphs import write_edge_list
@@ -196,6 +196,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
     if existing and not force:
         raise FileExistsError(
             f"output directory {out_dir!r} is not empty (use force to clear)")
+    for f in existing:      # refuse before removing anything
+        if os.path.isdir(os.path.join(out_dir, f)):
+            raise ValueError(f"cannot clear {out_dir!r}: {f!r} is a directory")
     for f in existing:
         os.remove(os.path.join(out_dir, f))
 
@@ -298,7 +301,6 @@ def aggregate_stats(out_dir: str) -> dict:
         }
     out = {"by_n": summary, "config_hash": manifest["config_hash"]}
     if len(by_n) >= 4 and all(len(v) >= 3 for v in by_n.values()):
-        from .analysis import fit_edge_exponent
         slope, stderr = fit_edge_exponent([(n, v) for n, vals in by_n.items() for v in vals])
         out["edge_exponent"] = {"slope": slope, "stderr": stderr}
     mon_path = os.path.join(out_dir, "monitors.csv")

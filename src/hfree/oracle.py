@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .graphs import SimpleGraph, pair_index
 from .patterns import Pattern
@@ -26,8 +26,6 @@ from .patterns import Pattern
 HOST_LIMIT = 25
 COPY_PATTERN_LIMIT = 6
 SUBSET_SCAN_LIMIT = 20
-BOUNDED_SCAN_HOST_LIMIT = 60
-BOUNDED_SCAN_CAP_LIMIT = 12
 
 
 def _adj_sets(g: SimpleGraph) -> list[set[int]]:
@@ -160,57 +158,21 @@ def naive_is_maximal_free(g: SimpleGraph, p: Pattern) -> bool:
     return naive_closed_set(g, p) == want
 
 
-def naive_max_density(g: SimpleGraph, size_cap: Optional[int] = None,
-                      ) -> tuple[Fraction, tuple[int, ...]]:
-    """Exact max of e(A)/|A| by explicit subset enumeration.
-
-    Full scan for hosts up to 20 vertices; with a cap <= 12 hosts up to 60
-    vertices are allowed and the scan runs over connected subsets plus
-    singletons (the maximum ratio is always attained on a connected set).
-    """
+def naive_max_density(g: SimpleGraph) -> tuple[Fraction, tuple[int, ...]]:
+    """Exact max of e(A)/|A| by explicit enumeration of every subset, for
+    hosts up to 20 vertices."""
     n = g.n
     if n == 0:
         raise ValueError("max density is undefined on a host with no vertices")
-    if size_cap is None:
-        if n > SUBSET_SCAN_LIMIT:
-            raise ValueError(f"full subset scan limited to {SUBSET_SCAN_LIMIT} vertices")
-        best = Fraction(0)
-        best_wit = (0,)     # the first subset scanned; density 0
-        for size in range(1, n + 1):
-            for sub in combinations(range(n), size):
-                dens = Fraction(g.induced_edge_count(sub), size)
-                if dens > best or (dens == best and sub < best_wit):
-                    best, best_wit = dens, sub
-        return best, best_wit
-    if size_cap < 1:
-        raise ValueError("size_cap must be >= 1")
-    if size_cap > BOUNDED_SCAN_CAP_LIMIT or n > BOUNDED_SCAN_HOST_LIMIT:
-        raise ValueError(
-            f"bounded scan limited to cap {BOUNDED_SCAN_CAP_LIMIT} on hosts "
-            f"up to {BOUNDED_SCAN_HOST_LIMIT} vertices")
-    adj = _adj_sets(g)
+    if n > SUBSET_SCAN_LIMIT:
+        raise ValueError(f"full subset scan limited to {SUBSET_SCAN_LIMIT} vertices")
     best = Fraction(0)
-    best_wit = (0,)
-    seen: set[frozenset[int]] = set()
-
-    def grow(cur: frozenset[int], frontier: set[int]) -> None:
-        nonlocal best, best_wit
-        e = g.induced_edge_count(cur)
-        dens = Fraction(e, len(cur))
-        wit = tuple(sorted(cur))
-        if dens > best or (dens == best and wit < best_wit):
-            best, best_wit = dens, wit
-        if len(cur) >= size_cap:
-            return
-        for w in sorted(frontier):
-            nxt = cur | {w}
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            grow(nxt, (frontier | adj[w]) - nxt)
-
-    for v in range(n):
-        grow(frozenset([v]), set(adj[v]))
+    best_wit = (0,)     # the first subset scanned; density 0
+    for size in range(1, n + 1):
+        for sub in combinations(range(n), size):
+            dens = Fraction(g.induced_edge_count(sub), size)
+            if dens > best or (dens == best and sub < best_wit):
+                best, best_wit = dens, sub
     return best, best_wit
 
 

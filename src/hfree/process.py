@@ -96,7 +96,6 @@ class ProcessState:
         self._draw: Union[range, _Snapshot] = range(self._open)
         self.step = 0
         self.last_step: Optional[tuple[int, int, int]] = None  # (u, v, closed)
-        self.stopped_early = False
         self._folds = [fold for tmpl in closure_templates(pattern)
                        for fold in tmpl._folds]
         self._off = pair_row_offsets(n)
@@ -168,19 +167,6 @@ class ProcessState:
         while len(picks) < min(k, self._open):
             picks[self.draw_open(rng)] = None
         return list(picks)
-
-    def _retire(self, a: int, mask: int) -> int:
-        """Clear both mask bits of each pair {a, w}, w in ``mask``, that is
-        still open; return how many pairs that closed."""
-        open_nbr = self.open_nbr
-        m = mask = mask & open_nbr[a]
-        open_nbr[a] ^= mask
-        while m:
-            w = m.bit_length() - 1
-            m ^= 1 << w
-            open_nbr[w] ^= 1 << a
-        self._open -= mask.bit_count()
-        return mask.bit_count()
 
     def _pair_ids(self, masks: dict[int, int]) -> set[int]:
         """Pair ids of the pairs {a, w}, w in ``masks[a]``."""
@@ -322,13 +308,12 @@ def iter_process(state: ProcessState, steps: Optional[int] = None) -> Iterator[P
     while state._open and (steps is None or state.step < steps):
         step(state)
         yield state
-    state.stopped_early = steps is not None and state.step < steps
 
 
 def run_until(state: ProcessState, steps: Optional[int] = None) -> ProcessState:
     """Advance until the state has ``steps`` edges, or to exhaustion when
     that is None.  If ``steps`` exceeds the process lifetime the exhausted
-    state is returned with ``stopped_early`` set instead of raising."""
+    state is returned, with fewer edges, instead of raising."""
     for _ in iter_process(state, steps):
         pass
     return state

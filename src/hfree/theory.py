@@ -29,7 +29,10 @@ def as_fraction(x: Rational) -> Fraction:
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(str(x))
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} is not a rational: its denominator is 0") from None
 
 
 def validate_eps_mu(p: Pattern, eps: Rational, mu: Rational,

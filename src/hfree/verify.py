@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import sys
-from typing import Callable, Optional
 
 from .graphs import SimpleGraph
 from .patterns import contains_copy, count_automorphisms, count_embeddings, parse_pattern
@@ -27,11 +26,10 @@ DEFAULT_COUNT_PATTERNS = ("C3", "C4", "C5", "K1,3", "K2,3", "K3,3")
 
 def verify_closure(n: int = 12, seeds: int = 5,
                    patterns: tuple[str, ...] = DEFAULT_CLOSURE_PATTERNS,
-                   mutate: Optional[Callable] = None) -> tuple[list[str], int]:
+                   ) -> tuple[list[str], int]:
     """Run processes to exhaustion comparing the incremental classification
     against definitional recomputation at every step, then check that the
-    final graph is maximal.  ``mutate(state, step_no)`` is a test hook that
-    lets callers corrupt the state to exercise the failure path."""
+    final graph is maximal."""
     mismatches = []
     compared = 0
     for spec in patterns:
@@ -40,8 +38,6 @@ def verify_closure(n: int = 12, seeds: int = 5,
             state = init_process(n, pattern, seed)
             while not state.is_exhausted():
                 step(state)
-                if mutate is not None:
-                    mutate(state, state.step)
                 want = naive_closed_set(state.graph, pattern)
                 got = state.closed_pair_ids()
                 compared += 1

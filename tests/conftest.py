@@ -34,3 +34,24 @@ def random_triangle_free(n: int, tries: int, seed: int) -> SimpleGraph:
         if not (g.adj[u] & g.adj[v]):
             g.add_edge(u, v)
     return g
+
+
+def copy_graph(g: SimpleGraph) -> SimpleGraph:
+    """An independent copy of ``g``."""
+    h = SimpleGraph(g.n)
+    h.adj, h.edge_count = g.adj[:], g.edge_count
+    return h
+
+
+def retire(state, a: int, mask: int) -> int:
+    """Close each pair {a, w}, w in ``mask``, that is still open in the
+    process state (both mask bits); return how many pairs that closed."""
+    open_nbr = state.open_nbr
+    m = mask = mask & open_nbr[a]
+    open_nbr[a] ^= mask
+    while m:
+        w = m.bit_length() - 1
+        m ^= 1 << w
+        open_nbr[w] ^= 1 << a
+    state._open -= mask.bit_count()
+    return mask.bit_count()

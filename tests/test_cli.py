@@ -14,6 +14,8 @@ from hfree.patterns import parse_pattern
 from hfree.process import init_process, run_until
 from hfree.verify import run_verification, verify_closure, verify_cuv, verify_density
 
+from conftest import retire
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -55,6 +57,20 @@ def test_params_bad_pattern_is_usage_error(capsys):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag,literal", [("--eps", "1/0"), ("--mu", "0/0")])
+def test_params_zero_denominator_is_usage_error(capsys, flag, literal):
+    code, out, err = run_cli(capsys, "params", "C3", "100", flag, literal)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and repr(literal) in err
+
+
+def test_params_refuses_a_pattern_simulate_refuses(capsys):
+    # K1,2 is not strictly 2-balanced, so no process forbids it
+    code, out, err = run_cli(capsys, "params", "K1,2", "50")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "strictly 2-balanced" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -89,18 +105,21 @@ def test_verify_cli_failure_path(capsys, monkeypatch):
     assert "synthetic mismatch" in err
 
 
-def test_verify_library_detects_corruption():
+def test_verify_library_detects_corruption(monkeypatch):
     from hfree.graphs import pair_from_index
+    real_step = verify.step
 
-    def corrupt(state, step_no):
+    def corrupt(state):
         # retire the lowest open pair that nothing closed: it reads as closed
-        if step_no == 3:
+        pair = real_step(state)
+        if state.step == 3:
             pid = min(state.open_pair_ids())
             u, v = pair_from_index(pid, state.n)
-            state._retire(u, 1 << v)
+            retire(state, u, 1 << v)
+        return pair
 
-    mismatches, compared = verify_closure(n=8, seeds=1, patterns=("C3",),
-                                          mutate=corrupt)
+    monkeypatch.setattr(verify, "step", corrupt)
+    mismatches, compared = verify_closure(n=8, seeds=1, patterns=("C3",))
     assert mismatches and "closure mismatch" in mismatches[0]
     assert compared == 3    # the corrupted step is the last one compared
 
@@ -225,6 +244,20 @@ def test_simulate_workers_below_one_is_rejected_before_writing(tmp_path, capsys,
                            "--out", str(tmp_path / "out"), "--workers", str(workers))
     assert code == cli.EXIT_USAGE and "workers must be >= 1" in err
     assert not (tmp_path / "direct").exists() and not (tmp_path / "out").exists()
+
+
+def test_simulate_force_refuses_a_subdirectory_before_removing_anything(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(ExperimentConfig(pattern="C3", n_values=[8]).to_text())
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    for name in ("a.txt", "m.txt", "z.txt"):
+        (out / name).write_text(name)
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg_path),
+                           "--out", str(out), "--force")
+    assert code == cli.EXIT_USAGE and "'sub' is a directory" in err
+    assert sorted(os.listdir(out)) == ["a.txt", "m.txt", "sub", "z.txt"]
+    assert all((out / name).read_text() == name for name in ("a.txt", "m.txt", "z.txt"))
 
 
 def test_analyze_missing_dir(tmp_path, capsys):

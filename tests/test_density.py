@@ -18,7 +18,7 @@ from hfree.oracle import naive_max_density
 from hfree.patterns import Pattern, contains_copy, parse_pattern
 from hfree.process import init_process, run_until
 
-from conftest import PETERSEN_EDGES, random_graph, random_triangle_free
+from conftest import PETERSEN_EDGES, copy_graph, random_graph, random_triangle_free
 
 
 def brute_best_density(g, k):
@@ -831,7 +831,7 @@ def _random_free_host(h, n, seed, triangle_free=False):
     for u, v in pairs:
         if triangle_free and g.adj[u] & g.adj[v]:
             continue
-        bigger = g.copy()
+        bigger = copy_graph(g)
         bigger.add_edge(u, v)
         if not contains_copy(h, bigger):
             g = bigger
@@ -918,7 +918,7 @@ def test_copy_guard_runs_only_where_a_row_binds(monkeypatch):
 
 
 def _plant(g, left, right):
-    g = g.copy()
+    g = copy_graph(g)
     for u in left:
         for v in right:
             if not g.has_edge(u, v):

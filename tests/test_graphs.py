@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from hfree.graphs import (SimpleGraph, pair_count, pair_from_index,
                           pair_index, read_edge_list, write_edge_list)
 
-from conftest import random_graph
+from conftest import copy_graph, random_graph
 
 
 def test_new_empty():
@@ -67,7 +67,7 @@ def test_induced_count_monotone():
     vals = [g.induced_edge_count(s) for s in sets]
     assert vals == sorted(vals)
     # monotone under edge addition too
-    g2 = g.copy()
+    g2 = copy_graph(g)
     nonedges = [(u, v) for u in range(10) for v in range(u + 1, 10)
                 if not g2.has_edge(u, v)]
     before = g2.induced_edge_count(range(10))

@@ -75,22 +75,9 @@ def test_naive_max_density_examples():
     assert dens == 0 and wit == (0,)
 
 
-def test_naive_max_density_bounded_mode():
-    for seed in range(5):
-        g = random_graph(11, 0.4, seed)
-        full = naive_max_density(g)[0]
-        capped = naive_max_density(g, size_cap=11)[0]
-        assert capped == full
-        assert naive_max_density(g, size_cap=4)[0] <= full
-
-
 def test_naive_max_density_limits():
     with pytest.raises(ValueError):
         naive_max_density(SimpleGraph(21))
-    with pytest.raises(ValueError):
-        naive_max_density(SimpleGraph(61), size_cap=5)
-    with pytest.raises(ValueError):
-        naive_max_density(SimpleGraph(30), size_cap=13)
 
 
 def test_naive_max_density_rejects_empty_host():
@@ -99,8 +86,6 @@ def test_naive_max_density_rejects_empty_host():
     g.n, g.adj, g.edge_count = 0, [], 0
     with pytest.raises(ValueError, match="no vertices"):
         naive_max_density(g)
-    with pytest.raises(ValueError, match="no vertices"):
-        naive_max_density(g, size_cap=3)
 
 
 def test_naive_count_copies():

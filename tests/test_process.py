@@ -7,7 +7,6 @@ import sys
 import tracemalloc
 from array import array
 from collections import Counter
-from itertools import starmap
 
 import networkx as nx
 import pytest
@@ -24,6 +23,8 @@ from hfree.process import (CLOSED, EDGE, OPEN, RNG_ID, co_closure_masks, compute
                            _Snapshot, iter_process, newly_closed_after, run_until, step)
 from hfree.theory import step_horizon
 
+from conftest import retire
+
 C3 = parse_pattern("C3")
 C5 = parse_pattern("C5")
 
@@ -38,7 +39,7 @@ def step_records(state, steps=None):
 def force_edge(state, u, v):
     """Add uv as an edge by hand, keeping the bookkeeping but closing
     nothing."""
-    state._retire(u, 1 << v)
+    retire(state, u, 1 << v)
     state.graph.add_edge(u, v)
 
 
@@ -204,10 +205,10 @@ def _full_array_step(state):
         del state._draw[:]
         state._draw.extend(state._row_ids(state.open_nbr))
     u, v = state.draw_open(state.rng)
-    state._retire(u, 1 << v)
+    retire(state, u, 1 << v)
     state.graph.add_edge(u, v)
     state.step += 1
-    closed = sum(starmap(state._retire, state._closure_scan(u, v).items()))
+    closed = sum(retire(state, a, m) for a, m in state._closure_scan(u, v).items())
     state.last_step = (u, v, closed)
 
 
@@ -598,9 +599,9 @@ def test_run_until_step_count():
     assert st.step == 0
     run_until(st, 5)
     assert st.step == 5
-    # overshooting a terminated process flags instead of raising
+    # overshooting a terminated process stops at exhaustion instead of raising
     run_until(st, 10**6)
-    assert st.is_exhausted() and st.stopped_early
+    assert st.is_exhausted() and st.step < 10**6
 
 
 def test_run_until_horizon():
