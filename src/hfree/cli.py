@@ -149,6 +149,8 @@ def cmd_analyze(args) -> int:
 def cmd_density(args) -> int:
     if args.budget < 0:
         raise ValueError(f"--budget must be >= 0 (0 = none), got {args.budget}")
+    if args.threshold is not None and not 0 < args.threshold < float("inf"):
+        raise ValueError(f"--threshold must be finite and > 0, got {args.threshold}")
     with open(args.graph) as fh:
         g = read_edge_list(fh)
     budget = args.budget or None

@@ -49,6 +49,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .graphs import SimpleGraph, iter_bits
@@ -149,13 +150,14 @@ def contains_biclique(g: SimpleGraph, s: int, t: int) -> bool:
 
 # ── warm starts ──────────────────────────────────────────────────────────
 
-def _plane_add(planes: list[int], adj: list[int], rows: int) -> list[int]:
-    """Add adj[c] for every c in rows into the bit planes and return them:
-    bit w of planes[i] is bit i of row w's count, |N(w) & rows| when the
-    planes start empty, kept by a ripple carry."""
+def _plane_add(planes: list[int], adj: list[int], rows: int,
+               mask: int = -1) -> list[int]:
+    """Add adj[c] & mask for every c in rows into the bit planes and return
+    them: bit w of planes[i] is bit i of |N(w) & rows| for w in mask when
+    the planes start empty, kept by a ripple carry."""
     while rows:
         lsb = rows & -rows
-        x = adj[lsb.bit_length() - 1]
+        x = adj[lsb.bit_length() - 1] & mask
         rows ^= lsb
         for i, p in enumerate(planes):
             planes[i] = p ^ x
@@ -187,15 +189,18 @@ def bipartite_pocket_warm(g: SimpleGraph, cap: int,
     total size sigma <= cap, the best (s*t, witness) found.  A lower bound
     on the true max edge count at each size.
 
-    A beam entry is a left side, its common neighbourhood C and a pool
-    bitmask of rows that may qualify (at least two neighbours in C).  C
-    only shrinks down the beam, so a child's pool is its parent's
-    qualifying set.  An entry counts |N(w) & C| for every row w at once:
-    adding adj[c] for each c in C into bit planes with a ripple carry
-    leaves bit i of that count in bit w of plane i.  The qualifying rows
-    are the pool rows with a count of at least two, and the children are
-    the POCKET_BEAM of them with the highest count, ties to the highest
-    row, found by a descent over the planes.
+    A beam entry is a left side of s rows, its common neighbourhood C and
+    a pool of the rows it may take (every row at the root).  Its
+    candidates are the pool rows other than its last row with at least
+    k0 = max(2, live[s]) neighbours in C: a row below k0 gives a child
+    that is neither offered nor kept (need and live never fall), and it
+    sorts after every candidate, so the children that matter do not
+    change.  k0 rises and C shrinks down the beam, so a child's pool is
+    its parent's candidates; an entry with an empty pool is skipped.  The
+    entry adds adj[c] & pool for each c in C into bit planes with a
+    ripple carry, which leaves bit i of |N(w) & C| in bit w of plane i,
+    and its children are the POCKET_BEAM candidates with the highest
+    count, ties to the highest row, found by a descent over the planes.
 
     An entry with s left rows is dead when |C| < live[s] = min(need[s+1:]):
     C only shrinks down the beam and need never falls, so no descendant
@@ -213,12 +218,7 @@ def bipartite_pocket_warm(g: SimpleGraph, cap: int,
     def offer(left: list[int], common: int, size: int) -> None:
         s = len(left)
         tmax = min(size, cap - s)
-        rs = []
-        m = common
-        while len(rs) < tmax:
-            lsb = m & -m
-            rs.append(lsb.bit_length() - 1)
-            m ^= lsb
+        rs = list(islice(iter_bits(common), tmax))
         for t in range(1, tmax + 1):
             if s * t > top_e[s + t]:
                 top_e[s + t] = s * t
@@ -232,18 +232,17 @@ def bipartite_pocket_warm(g: SimpleGraph, cap: int,
         size = au.bit_count()
         if size >= need[1]:
             offer([u], au, size)
-        two_hop = 0
-        for c in iter_bits(au):
-            two_hop |= adj[c]
         # (left, common, |common|, pool)
-        frontier = [([u], au, size, two_hop & ~(1 << u))]
+        frontier = [([u], au, size, -1)]
         for _ in range(min(cap - 1, 5) - 1):
             nxt = []
             for left, common, size, pool in frontier:
-                if size < max(2, live[len(left)]):
+                k0 = max(2, live[len(left)])
+                pool &= ~(1 << left[-1])
+                if size < k0 or not pool:
                     continue
-                planes = _plane_add([], adj, common)
-                qual = _plane_ge(planes, 2) & pool & ~(1 << left[-1])
+                planes = _plane_add([], adj, common, pool)
+                qual = _plane_ge(planes, k0)
                 rest = qual
                 room = POCKET_BEAM
                 while rest and room:
@@ -367,9 +366,12 @@ def _bipartite_above_floors(g: SimpleGraph, floors: dict[int, int],
     anchors have codegree >= t, so the next anchor always comes from the
     partner table, built once for all jobs: for each u, the v > u with
     codeg(u, v) >= the smallest t of any job, read from bit planes over
-    N(u).  For M = 0 an anchor tuple with |C| >= t is a K_{s,t} outright,
-    and the job ends at the lexicographically first one, T, with the t
-    least members of C as its right side.  When also s = t, the first
+    N(u).  From two anchors on, only partners with t neighbours in C are
+    kept, and a tuple is cut once fewer survive than anchors are missing:
+    it could never be settled, so the cut spends no budget unit.  For
+    M = 0 an anchor tuple with |C| >= t is a K_{s,t} outright, and the job
+    ends at the lexicographically first one, T, with the t least members
+    of C as its right side.  When also s = t, the first
     anchor's C keeps only vertices above it, and the job still ends at T:
     were some member of C below min T, the s least members of C would be
     an earlier tuple with T in their common neighbourhood.  For M > 0 the
@@ -427,12 +429,7 @@ def _bipartite_above_floors(g: SimpleGraph, floors: dict[int, int],
             """Best completion of one anchor tuple; True ends the job."""
             tick(sigma)
             if extra == 0:
-                rverts = []
-                m = common
-                while len(rverts) < t:
-                    lsb = m & -m
-                    rverts.append(lsb.bit_length() - 1)
-                    m ^= lsb
+                rverts = list(islice(iter_bits(common), t))
                 best[sigma] = s * t
                 wits[sigma] = tuple(sorted(anchors + rverts))
                 return True
@@ -533,6 +530,7 @@ def _bipartite_above_floors(g: SimpleGraph, floors: dict[int, int],
                 # A single anchor's C is its whole neighbourhood, too big
                 # for this; its partners already have codegree >= min_t.
                 slack = common.bit_count() - t
+                wanted = r - len(anchors)   # fewer candidates: no settle
                 within = [nxt] * (slack + 1)
                 down = range(slack, 0, -1)
                 m = common
@@ -543,6 +541,8 @@ def _bipartite_above_floors(g: SimpleGraph, floors: dict[int, int],
                     for j in down:
                         within[j] = (within[j] & x) | within[j - 1]
                     within[0] &= x
+                    if within[slack].bit_count() < wanted:
+                        return False
                 nxt = within[slack]
             while nxt:
                 lsb = nxt & -nxt

@@ -318,6 +318,24 @@ def test_density_threshold_check(tmp_path, capsys):
     assert not check["passed"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2.5"])
+def test_density_threshold_must_be_finite_and_positive(tmp_path, capsys, monkeypatch,
+                                                       value):
+    path = tmp_path / "k4.edges"
+    with open(path, "w") as fh:
+        write_edge_list(parse_pattern("K4").to_graph(), fh)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned before refusing the threshold")
+
+    monkeypatch.setattr(cli, "bounded_density_scan", no_scan)
+    monkeypatch.setattr(density, "bounded_density_scan", no_scan)
+    code, out, err = run_cli(capsys, "density", str(path), "--k", "4",
+                             f"--threshold={value}")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "--threshold must be finite and > 0" in err
+
+
 def test_density_threshold_scans_once(tmp_path, capsys, monkeypatch):
     st = init_process(60, parse_pattern("C3"), 0)
     run_until(st)

@@ -970,3 +970,21 @@ def test_biclique_guard_matches_contains_copy(s, t):
     for spec in ("C3", "C5", "C6", "K4", "K1,3", "K1", "Q3", "K2,4", "K5,2",
                  "edges:1-2,2-3,3-1,3-4", "edges:1-3,1-4,1-5,2-3,2-4,2-5,1-2"):
         assert biclique_sides(parse_pattern(spec)) is None, spec
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_scan_stages_match_references_in_the_benchmark_regime(seed):
+    """Hosts the size of the density-c3-anchor ones (n = 300, 5,284 and
+    5,300 edges, no K5,5) at cap 10: the pocket beam, and the anchor pass
+    with its budget spent, at the floors the scan uses.  Seed 1 runs only
+    the (10, 5, 5) job with M = 0; seed 2 runs (10, 4, 6) with M = 1 and
+    (10, 5, 5) with M = 2."""
+    g = random_triangle_free(300, 44850, seed)
+    assert bipartite_pocket_warm(g, 10) == reference_pocket_warm(g, 10)
+    warm = local_search_warm(g, 10)
+    floors = {sigma: max(_nonbipartite_ceiling(sigma), warm.get(sigma, (0, ()))[0])
+              for sigma in range(5, 11)}
+    got, want = [10 ** 9], [10 ** 9]
+    assert _bipartite_above_floors(g, floors, got) == \
+        reference_above_floors(g, floors, want)
+    assert got == want
